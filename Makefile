@@ -4,7 +4,7 @@ GO ?= go
 # the pipe would swallow a failing gate's exit status.
 SHELL = /bin/bash -o pipefail
 
-.PHONY: build test coverage bench bench-forward bench-serve verify-bench verify-bench-serve verify-chaos verify-scenario verify-shard verify-obs verify-fault verify-serve fuzz-smoke lint
+.PHONY: build test coverage bench bench-forward bench-serve verify-bench verify-bench-serve verify-drill verify-obs verify-fault verify-serve fuzz-smoke lint
 
 BENCH_FORWARD = -run '^$$' -bench 'BenchmarkForward|BenchmarkKernelReference' \
 	-benchtime 1s -count 5 . ./internal/tensor
@@ -78,52 +78,26 @@ verify-bench-serve:
 	$(GO) run ./cmd/benchdiff serve-verify BENCH_serve.json | tee -a bench_diff.txt
 	$(GO) test -race -run 'TestStreamLoadgenMatchesSerialReplay' ./internal/fleet
 
-# Connection-chaos gate (run by the chaos-smoke CI job): drive the stream
-# protocol through a fault-injecting listener that kills every connection
-# after a seeded uplink-byte budget, under the race detector, then hold the
-# report to the resilience bars — every round classified exactly once
-# (no losses, no double-classifies), 100% resume success, >=99%
-# availability. The -gap paces rounds like a real duty-cycled wearable:
-# availability's denominator is wall time including idle, and a closed-loop
-# flat-out drill has so little wall that ~30 reconnect handshakes alone
-# would eat the 1% budget. The replay/resume regression tests ride along.
-verify-chaos:
-	$(GO) run -race ./cmd/origin-loadgen -users 8 -requests 80 -seed 1 -tiny-model \
-		-mode stream -chaos -gap 90ms -json /tmp/chaos_report.json
-	$(GO) run ./cmd/benchdiff chaos-verify /tmp/chaos_report.json | tee -a bench_diff.txt
-	$(GO) test -race -run 'TestStreamChaos|TestStreamResume' ./internal/fleet ./internal/serve
-
-# Scenario-SLO gate (run by the scenario-smoke CI job): run the built-in
-# chaos day twice under -race on tiny deterministic models, hold the first
-# report to the SLO bars (zero lost rounds, clean resume protocol, >=99%
-# availability, bounded shed rate) and the pair to the determinism bar
-# (byte-identical canonical sections across same-seed runs). The calm day
-# then proves live ≡ serial-replay on the zero-fault path, and the scenario
-# package's own acceptance tests ride along.
-verify-scenario:
-	$(GO) run -race ./cmd/origin-scenario -scenario day -seed 7 -tiny -o /tmp/slo_day.json
-	$(GO) run -race ./cmd/origin-scenario -scenario day -seed 7 -tiny -o /tmp/slo_day_rerun.json
-	$(GO) run ./cmd/benchdiff slo-verify /tmp/slo_day.json /tmp/slo_day_rerun.json | tee -a bench_diff.txt
-	$(GO) run -race ./cmd/origin-scenario -scenario calm -seed 7 -tiny -verify-replay -o /dev/null
-	$(GO) test -race ./internal/scenario
-
-# Shard gate (run by the shard-smoke CI job): the built-in shard day — a
-# mid-run replica crash plus a mid-run join over a 3-replica cluster behind
-# the consistent-hash router, every lineage on the binary stream front —
-# twice under -race with the first run also replay-verified (every lineage's
-# classification sequence byte-identical to single-node serial execution).
-# benchdiff then holds the pair to the sharding bars: zero lost rounds, zero
-# double classifications, 100% migrated-session resume, at least one
-# kill/join/migration actually fired, and byte-identical canonical sections
-# across the same-seed runs. The cluster kill-drill and session-migration
-# regression tests ride along.
-verify-shard:
-	$(GO) run -race ./cmd/origin-scenario -scenario shard -seed 13 -replicas 3 -tiny -verify-replay -o /tmp/slo_shard.json
-	$(GO) run -race ./cmd/origin-scenario -scenario shard -seed 13 -replicas 3 -tiny -o /tmp/slo_shard_rerun.json
-	$(GO) run ./cmd/benchdiff shard-verify /tmp/slo_shard.json /tmp/slo_shard_rerun.json | tee -a bench_diff.txt
-	$(GO) test -race ./internal/cluster
-	$(GO) test -race -run 'TestShard|TestStreamStoreResume|TestStreamAttachment|TestManagerMigration|TestSessionCodec|TestStateStore' \
-		./internal/scenario ./internal/serve ./internal/fleet
+# Drill gate (run by the drill CI job, one matrix leg per drill): run a
+# built-in fault drill twice under -race on tiny deterministic models, the
+# first run also replay-verified (every lineage's class sequence
+# byte-identical to a fault-free single-node serial replay), then hold the
+# pair to benchdiff drill-verify's bars: zero lost rounds, zero double
+# classifications, 100% resume success, an availability floor, a bounded
+# shed rate, anti-vacuity for every fault the plan schedules, and
+# byte-identical canonical sections across the same-seed runs.
+#   DRILL=day    one node: a pressure rush hour and an evening of connection
+#                chaos (every stream killed mid-round, partial writes)
+#   DRILL=shard  3 replicas behind the router: a mid-run replica crash and a
+#                mid-run join
+DRILL ?= day
+DRILL_FLAGS_day = -seed 7
+DRILL_FLAGS_shard = -seed 13 -replicas 3
+verify-drill:
+	$(if $(DRILL_FLAGS_$(DRILL)),,$(error unknown DRILL=$(DRILL) (want day or shard)))
+	$(GO) run -race ./cmd/origin-scenario -scenario $(DRILL) $(DRILL_FLAGS_$(DRILL)) -tiny -verify-replay -o /tmp/slo_$(DRILL).json
+	$(GO) run -race ./cmd/origin-scenario -scenario $(DRILL) $(DRILL_FLAGS_$(DRILL)) -tiny -o /tmp/slo_$(DRILL)_rerun.json
+	$(GO) run ./cmd/benchdiff drill-verify /tmp/slo_$(DRILL).json /tmp/slo_$(DRILL)_rerun.json | tee -a bench_diff.txt
 
 # Formatting and static analysis, mirroring the CI lint job. staticcheck is
 # optional locally (the CI job installs it); gofmt failures list the files.

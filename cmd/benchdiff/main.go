@@ -6,9 +6,7 @@
 //	benchdiff verify -min 2.0 -min-int8 3.0 new.json
 //	benchdiff serve-extract -o BENCH_serve.json windows.json stream.json
 //	benchdiff serve-verify -min-wire-compression 10 BENCH_serve.json
-//	benchdiff chaos-verify -min-availability 0.99 chaos_report.json
-//	benchdiff slo-verify -min-availability 0.99 slo.json slo_rerun.json
-//	benchdiff shard-verify -min-migrated 1 shard_slo.json shard_twin.json
+//	benchdiff drill-verify slo.json slo_rerun.json
 //
 // Raw nanoseconds are not comparable across machines, so compare normalises
 // every benchmark against an anchor benchmark recorded in the same run
@@ -77,12 +75,8 @@ func main() {
 		err = cmdServeExtract(os.Args[2:])
 	case "serve-verify":
 		err = cmdServeVerify(os.Args[2:])
-	case "chaos-verify":
-		err = cmdChaosVerify(os.Args[2:])
-	case "slo-verify":
-		err = cmdSLOVerify(os.Args[2:])
-	case "shard-verify":
-		err = cmdShardVerify(os.Args[2:])
+	case "drill-verify":
+		err = cmdDrillVerify(os.Args[2:])
 	default:
 		usage()
 	}
@@ -99,9 +93,7 @@ func usage() {
   benchdiff verify [-min factor] [-min-int8 factor] new.json
   benchdiff serve-extract [-o serve.json] report.json...
   benchdiff serve-verify [-min-wire-compression factor] [-max-accuracy-drop frac] serve.json
-  benchdiff chaos-verify [-min-availability frac] chaos_report.json
-  benchdiff slo-verify [-min-availability frac] [-max-shed-rate frac] [-min-accuracy frac] slo.json [slo_rerun.json]
-  benchdiff shard-verify [-min-availability frac] [-min-migrated n] shard_slo.json [twin_slo.json]`)
+  benchdiff drill-verify slo.json [twin_slo.json]`)
 	os.Exit(2)
 }
 

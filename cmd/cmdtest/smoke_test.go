@@ -129,13 +129,12 @@ func TestOriginServeBadFlags(t *testing.T) {
 }
 
 func TestOriginScenarioBadFlags(t *testing.T) {
-	missingSpec := filepath.Join(t.TempDir(), "nope.json")
 	for _, args := range [][]string{
 		{"-scenario", "weekend"},
 		{"-profile", "WISDM"},
 		{"-queue", "0"},
 		{"-request-timeout", "-1s"},
-		{"-spec", missingSpec},
+		{"-spec", "no-such-dir/spec.json"}, // relative to the package dir; a stable subtest name
 		{"-replicas", "0"},
 		{"-scenario", "shard"},                  // shard ops need -replicas >= 2
 		{"-scenario", "day", "-replicas", "2"},  // chaos windows need single-node handles
@@ -194,8 +193,10 @@ func TestOriginLoadgenBadFlags(t *testing.T) {
 		{"-mode", "stream", "-addr", "http://127.0.0.1:1"}, // external server needs -stream-addr too
 		{"-mode", "windows", "-tiny-model", "-addr", "http://127.0.0.1:1"},
 		{"-reconnect-max", "-1"},
+		// Retired drill flags (the chaos drill is the day scenario's now):
+		// old invocations must fail fast, not run a fault-free load.
 		{"-gap", "-1ms"},
-		{"-chaos"}, // chaos needs stream mode
+		{"-chaos"},
 		{"-mode", "stream", "-chaos", "-addr", "http://127.0.0.1:1", "-stream-addr", "127.0.0.1:1"},
 		{"-mode", "stream", "-chaos", "-chaos-kill-rate", "2"},
 		{"-mode", "stream", "-chaos", "-chaos-kill-min-bytes", "0"},

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"origin/internal/experiments"
-	"origin/internal/fault"
 	"origin/internal/fleet"
 	"origin/internal/fleet/fleettest"
 	"origin/internal/loadgen"
@@ -48,13 +47,7 @@ func main() {
 		streamAddr = flag.String("stream-addr", "", "stream front host:port (stream mode against an external -addr; the in-process server starts its own)")
 		streamHop  = flag.Int("stream-hop", loadgen.DefaultStreamHop, "new samples per steady-state stream frame (1..64)")
 		tinyModel  = flag.Bool("tiny-model", false, "serve tiny deterministic untrained models (CI wire-bytes gate; in-process server only)")
-		chaosOn    = flag.Bool("chaos", false, "inject seeded connection faults into the in-process stream front (stream mode only)")
-		chaosSeed  = flag.Int64("chaos-seed", 1, "connection-chaos RNG seed")
-		chaosKill  = flag.Float64("chaos-kill-rate", 1.0, "fraction of stream connections killed mid-stream under -chaos")
-		chaosMin   = flag.Int("chaos-kill-min-bytes", 4096, "min uplink bytes a doomed connection survives")
-		chaosMax   = flag.Int("chaos-kill-max-bytes", 16384, "max uplink bytes a doomed connection survives")
 		reconnMax  = flag.Int("reconnect-max", 0, "consecutive failed reconnect attempts before a stream user gives up (0 = default)")
-		gap        = flag.Duration("gap", 0, "per-user think time between rounds (0 = closed loop; availability drills need a realistic gap)")
 	)
 	flag.Parse()
 	if *cache != "" {
@@ -87,28 +80,8 @@ func main() {
 	if *reconnMax < 0 {
 		usageError("-reconnect-max must not be negative, got %d", *reconnMax)
 	}
-	if *gap < 0 {
-		usageError("-gap must not be negative, got %v", *gap)
-	}
-	var chaos fault.ConnChaos
-	if *chaosOn {
-		if loadgen.Mode(*mode) != loadgen.ModeStream {
-			usageError("-chaos needs -mode stream")
-		}
-		if *addr != "" {
-			usageError("-chaos only applies to the in-process server (drop -addr; for an external server use origin-serve's -chaos-* flags)")
-		}
-		chaos = fault.ConnChaos{
-			Seed: *chaosSeed, KillRate: *chaosKill,
-			KillMinBytes: *chaosMin, KillMaxBytes: *chaosMax,
-		}
-		if err := chaos.Validate(); err != nil {
-			usageError("%v", err)
-		}
-	}
 
 	base, streamBase := *addr, *streamAddr
-	var chaosStats func() fault.ChaosStats
 	if base == "" {
 		mgrCfg := fleet.Config{QueueDepth: *queueDepth, Workers: *workers}
 		if *tinyModel {
@@ -139,20 +112,8 @@ func main() {
 				os.Exit(1)
 			}
 			streamBase = sln.Addr().String()
-			var lis net.Listener = sln
-			if chaos.Enabled() {
-				cl, cerr := fault.NewChaosListener(sln, chaos)
-				if cerr != nil {
-					fmt.Fprintf(os.Stderr, "origin-loadgen: chaos listener: %v\n", cerr)
-					os.Exit(1)
-				}
-				lis = cl
-				chaosStats = cl.Stats
-				fmt.Printf("connection chaos armed: seed=%d kill-rate=%g kill-bytes=[%d,%d]\n",
-					chaos.Seed, chaos.KillRate, chaos.KillMinBytes, chaos.KillMaxBytes)
-			}
 			ss := serve.NewStreamServer(serve.StreamConfig{Manager: mgr, Metrics: metrics})
-			go func() { _ = ss.Serve(lis) }()
+			go func() { _ = ss.Serve(sln) }()
 			defer ss.Close()
 			fmt.Printf("in-process stream front on %s\n", streamBase)
 		}
@@ -165,7 +126,6 @@ func main() {
 		Quorum: *quorum, StaleLimit: *staleLimit, Freeze: *freeze,
 		StreamAddr: streamBase, StreamHop: *streamHop,
 		ReconnectMax: *reconnMax,
-		Gap:          *gap,
 		Traces:       *traces,
 		Client:       &http.Client{Timeout: 60 * time.Second},
 	})
@@ -185,11 +145,6 @@ func main() {
 		if rep.Mode == string(loadgen.ModeStream) {
 			fmt.Printf("  resilience  reconnects=%d resume-success=%.4f availability=%.4f double-classifies=%d\n",
 				rep.Reconnects, rep.ResumeSuccessRate, rep.Availability, rep.DoubleClassifies)
-		}
-		if chaosStats != nil {
-			st := chaosStats()
-			fmt.Printf("  chaos       conns=%d kills=%d partial-writes=%d slow-reads=%d delayed-accepts=%d\n",
-				st.Conns, st.Kills, st.PartialWrites, st.SlowReads, st.DelayedAccepts)
 		}
 		if *jsonOut != "" {
 			if werr := writeReport(rep, *jsonOut); werr != nil {

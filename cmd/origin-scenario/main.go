@@ -16,7 +16,7 @@
 // built-in (-scenario day|calm|shard) or a declarative JSON spec (-spec);
 // see internal/scenario for the phase model and determinism contract. The
 // report's canonical section is byte-identical across same-seed runs and is
-// gated in CI by `benchdiff slo-verify` and `benchdiff shard-verify`.
+// gated in CI by `benchdiff drill-verify` (make verify-drill).
 package main
 
 import (

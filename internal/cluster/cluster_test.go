@@ -8,14 +8,11 @@ import (
 	"sync"
 	"testing"
 
-	"origin"
 	"origin/internal/cluster"
-	"origin/internal/comm"
 	"origin/internal/fleet"
 	"origin/internal/fleet/fleettest"
 	"origin/internal/loadgen"
 	"origin/internal/serve"
-	"origin/internal/synth"
 )
 
 func newCluster(t *testing.T, replicas int) *cluster.Cluster {
@@ -112,9 +109,9 @@ func TestClusterRoutesHTTP(t *testing.T) {
 	}
 }
 
-// shardConfig mirrors replayConfig in the fleet replay tests: every field
-// loadgen.Run would default is pinned, so the serial replay regenerates the
-// exact frame streams the live clients sent.
+// shardConfig pins every field loadgen.Run would default, so
+// loadgen.SerialReplay regenerates the exact frame streams the live clients
+// sent.
 func shardConfig(cl *cluster.Cluster, users, requests int) loadgen.Config {
 	return loadgen.Config{
 		BaseURL:           cl.HTTPURL(),
@@ -132,77 +129,25 @@ func shardConfig(cl *cluster.Cluster, users, requests int) loadgen.Config {
 	}
 }
 
-// serialStreamReplay rebuilds user i's stream-mode classification sequence
-// with no cluster, no network, no concurrency: regenerate the exact frame
-// bytes the live client sent, run them through the same assembler the
-// replicas use, and classify each completed round on a fresh facade
-// session. This is the single-node reference the sharded run must match
-// byte for byte.
-func serialStreamReplay(t *testing.T, cfg *loadgen.Config, i int) []int {
-	t.Helper()
-	model, err := fleettest.NewModel(cfg.Profile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := origin.OpenSession(model, "replay", loadgen.UserID(i), origin.ServeOpts{
-		StaleLimit: cfg.StaleLimit, Quorum: cfg.Quorum, Freeze: cfg.Freeze,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := loadgen.NewFrameSource(cfg, synth.MHEALTHProfile(), i)
-	asm := serve.NewStreamAssembler(model.Sensors(), model.Window)
-	var classes []int
-	for k := 0; k < cfg.Requests; k++ {
-		frames, err := fs.Next(k)
-		if err != nil {
-			t.Fatalf("user %d round %d: %v", i, k, err)
-		}
-		for _, ef := range frames {
-			f, err := comm.DecodeFrameBytes(ef.Bytes)
-			if err != nil {
-				t.Fatalf("user %d round %d: %v", i, k, err)
-			}
-			imu, err := comm.DecodeIMU(f.Payload)
-			if err != nil {
-				t.Fatalf("user %d round %d: %v", i, k, err)
-			}
-			end, err := asm.Ingest(imu)
-			if err != nil {
-				t.Fatalf("user %d round %d: %v", i, k, err)
-			}
-			if !end {
-				continue
-			}
-			res, err := sess.Classify(asm.TakeRound())
-			if err != nil {
-				t.Fatalf("user %d round %d: %v", i, k, err)
-			}
-			classes = append(classes, res.Class)
-		}
-	}
-	return classes
-}
-
 // prop (ISSUE acceptance, headline): a 3-shard cluster with a replica
 // killed mid-run AND a fresh replica joined mid-run serves every session's
 // classification sequence byte-identical to the single-node serial replay
 // — zero lost rounds, zero double classifications, and at least one
 // session resumed across a shard boundary from the shared state store.
-// Runs in CI under -race via the shard verification target.
+// Runs in CI under -race via the race job's stress step.
 func TestClusterShardChaosMatchesSerialReplay(t *testing.T) {
 	cl := newCluster(t, 3)
 	cfg := shardConfig(cl, 4, 24)
 
-	// The kill targets whichever replica owns session r-1 at kill time, so
-	// at least one live session is guaranteed to migrate. It fires once the
-	// run has classified a couple of rounds per user on average (every
-	// session created, every user mid-run); the join fires at the halfway
-	// mark so post-join rounds also rebalance.
+	// The kill targets whichever replica owns session r-1, and fires from
+	// r-1's own first classified round: the session is attached then, with
+	// rounds still to send, so the kill severs a live stream that must
+	// resume on another replica. The join fires at the run's halfway mark
+	// so post-join rounds also rebalance.
 	var killOnce, joinOnce sync.Once
 	var killed string
-	cfg.OnRound = func(total int) {
-		if total >= 2*cfg.Users {
+	cfg.OnRound = func(session string, total int) {
+		if session == "r-1" {
 			killOnce.Do(func() {
 				killed = cl.Router().Owner("r-1")
 				if err := cl.KillReplica(killed); err != nil {
@@ -244,11 +189,14 @@ func TestClusterShardChaosMatchesSerialReplay(t *testing.T) {
 	if got := len(cl.Replicas()); got != 3 {
 		t.Fatalf("cluster ended with %d replicas, want 3 (3 - 1 killed + 1 joined)", got)
 	}
+	want, err := loadgen.SerialReplay(&cfg, fleettest.NewModel)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, tr := range rep.Sessions {
-		want := serialStreamReplay(t, &cfg, i)
-		if !reflect.DeepEqual(tr.Classes, want) {
+		if !reflect.DeepEqual(tr.Classes, want[i]) {
 			t.Errorf("user %d: sharded sequence diverged from single-node serial replay:\n got %v\nwant %v",
-				i, tr.Classes, want)
+				i, tr.Classes, want[i])
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+
+	"origin/internal/wire"
 )
 
 // Stream wire format — the persistent per-session binary uplink.
@@ -202,11 +204,9 @@ func EncodeHello(dst []byte, h Hello) ([]byte, error) {
 		return dst, fmt.Errorf("comm: invalid hello %+v", h)
 	}
 	p := binary.AppendUvarint(nil, uint64(h.Version))
-	p = binary.AppendUvarint(p, uint64(len(h.Session)))
-	p = append(p, h.Session...)
+	p = wire.AppendString(p, h.Session)
 	if h.Token != "" {
-		p = binary.AppendUvarint(p, uint64(len(h.Token)))
-		p = append(p, h.Token...)
+		p = wire.AppendString(p, h.Token)
 	}
 	return AppendFrame(dst, FrameHello, p)
 }
@@ -215,31 +215,23 @@ func EncodeHello(dst []byte, h Hello) ([]byte, error) {
 // but when present it must be non-empty — an explicit zero-length token has
 // no distinct encoding, so it is rejected to keep round-trips exact.
 func DecodeHello(p []byte) (Hello, error) {
-	d := payloadReader{b: p}
-	v := d.uvarint()
-	n := d.uvarint()
-	if d.err != nil || n > 255 {
+	d := wire.NewReader(p)
+	v := d.Uvarint()
+	id := d.Str(255)
+	if d.Err() != nil {
 		return Hello{}, fmt.Errorf("comm: malformed hello")
 	}
-	id := d.bytes(int(n))
-	if d.err != nil {
-		return Hello{}, fmt.Errorf("comm: malformed hello")
-	}
-	var token []byte
-	if !d.done() {
-		tn := d.uvarint()
-		if d.err != nil || tn == 0 || tn > MaxStreamToken {
-			return Hello{}, fmt.Errorf("comm: malformed hello token")
-		}
-		token = d.bytes(int(tn))
-		if d.err != nil || !d.done() {
+	var token string
+	if !d.Done() {
+		token = d.Str(MaxStreamToken)
+		if !d.Done() || token == "" {
 			return Hello{}, fmt.Errorf("comm: malformed hello token")
 		}
 	}
 	if v != StreamVersion {
 		return Hello{}, fmt.Errorf("comm: unsupported stream version %d (want %d)", v, StreamVersion)
 	}
-	return Hello{Version: int(v), Session: string(id), Token: string(token)}, nil
+	return Hello{Version: int(v), Session: id, Token: token}, nil
 }
 
 // HelloAck is the decoded hello-ack payload: the server's answer to an
@@ -284,8 +276,7 @@ func EncodeHelloAck(dst []byte, a HelloAck) ([]byte, error) {
 		flags |= helloAckFlagResumed
 	}
 	p := []byte{flags}
-	p = binary.AppendUvarint(p, uint64(len(a.Token)))
-	p = append(p, a.Token...)
+	p = wire.AppendString(p, a.Token)
 	p = binary.AppendUvarint(p, uint64(a.NextSlot))
 	last := uint64(0)
 	if a.HasLast {
@@ -304,23 +295,22 @@ func EncodeHelloAck(dst []byte, a HelloAck) ([]byte, error) {
 
 // DecodeHelloAck parses a hello-ack payload.
 func DecodeHelloAck(p []byte) (HelloAck, error) {
-	d := payloadReader{b: p}
-	flags := d.byte()
-	tn := d.uvarint()
-	if d.err != nil || tn == 0 || tn > MaxStreamToken {
+	d := wire.NewReader(p)
+	flags := d.Byte()
+	token := d.Str(MaxStreamToken)
+	if d.Err() != nil || token == "" {
 		return HelloAck{}, fmt.Errorf("comm: malformed hello-ack token")
 	}
-	token := d.bytes(int(tn))
-	slot := d.uvarint()
-	last := d.uvarint()
-	sensors := d.uvarint()
-	if d.err != nil || flags&^byte(helloAckFlagResumed) != 0 ||
+	slot := d.Uvarint()
+	last := d.Uvarint()
+	sensors := d.Uvarint()
+	if d.Err() != nil || flags&^byte(helloAckFlagResumed) != 0 ||
 		slot > math.MaxInt32 || last > 257 || sensors > 255 {
 		return HelloAck{}, fmt.Errorf("comm: malformed hello-ack")
 	}
 	a := HelloAck{
 		Resumed:  flags&helloAckFlagResumed != 0,
-		Token:    string(token),
+		Token:    token,
 		NextSlot: int(slot),
 	}
 	if last > 0 {
@@ -330,14 +320,14 @@ func DecodeHelloAck(p []byte) (HelloAck, error) {
 	if sensors > 0 {
 		a.NextSeqs = make([]int, sensors)
 		for s := range a.NextSeqs {
-			seq := d.uvarint()
+			seq := d.Uvarint()
 			if seq > math.MaxInt32 {
 				return HelloAck{}, fmt.Errorf("comm: hello-ack seq out of range")
 			}
 			a.NextSeqs[s] = int(seq)
 		}
 	}
-	if d.err != nil || !d.done() {
+	if !d.Done() {
 		return HelloAck{}, fmt.Errorf("comm: malformed hello-ack")
 	}
 	return a, nil
@@ -427,9 +417,9 @@ func EncodeIMU(dst []byte, f IMUFrame) ([]byte, error) {
 		for t, v := range row {
 			q := quantize(v, scale)
 			if t == 0 {
-				p = appendZigzag(p, q)
+				p = wire.AppendZigzag(p, q)
 			} else {
-				p = appendZigzag(p, q-prev)
+				p = wire.AppendZigzag(p, q-prev)
 			}
 			prev = q
 		}
@@ -457,12 +447,12 @@ func quantize(v float64, scale float32) int64 {
 // payload must be exactly consumed — out-of-range accumulators and trailing
 // bytes both mark corruption that slipped past the CRC odds.
 func DecodeIMU(p []byte) (IMUFrame, error) {
-	d := payloadReader{b: p}
-	sensor := d.byte()
-	flags := d.byte()
-	seq := d.uvarint()
-	n := d.uvarint()
-	if d.err != nil {
+	d := wire.NewReader(p)
+	sensor := d.Byte()
+	flags := d.Byte()
+	seq := d.Uvarint()
+	n := d.Uvarint()
+	if d.Err() != nil {
 		return IMUFrame{}, fmt.Errorf("comm: malformed IMU frame header")
 	}
 	if n == 0 || n > MaxStreamSamples {
@@ -471,9 +461,9 @@ func DecodeIMU(p []byte) (IMUFrame, error) {
 	if flags&^imuFlagEndRound != 0 {
 		return IMUFrame{}, fmt.Errorf("comm: IMU frame has unknown flags %#x", flags)
 	}
-	scaleBits := d.uint32()
+	scaleBits := d.Uint32()
 	scale := math.Float32frombits(scaleBits)
-	if d.err != nil {
+	if d.Err() != nil {
 		return IMUFrame{}, fmt.Errorf("comm: malformed IMU frame header")
 	}
 	if scale < 0 || math.IsNaN(float64(scale)) || math.IsInf(float64(scale), 0) {
@@ -493,7 +483,7 @@ func DecodeIMU(p []byte) (IMUFrame, error) {
 		row := flat[c*int(n) : (c+1)*int(n)]
 		q := int64(0)
 		for t := range row {
-			dq := d.zigzag()
+			dq := d.Zigzag()
 			if t == 0 {
 				q = dq
 			} else {
@@ -504,13 +494,13 @@ func DecodeIMU(p []byte) (IMUFrame, error) {
 			}
 			row[t] = float64(scale) * float64(q)
 		}
-		if d.err != nil {
+		if d.Err() != nil {
 			return IMUFrame{}, fmt.Errorf("comm: truncated IMU frame samples")
 		}
 		f.Samples[c] = row
 	}
-	if !d.done() {
-		return IMUFrame{}, fmt.Errorf("comm: %d trailing bytes after IMU frame", len(d.b)-d.off)
+	if !d.Done() {
+		return IMUFrame{}, fmt.Errorf("comm: %d trailing bytes after IMU frame", len(d.Rest()))
 	}
 	return f, nil
 }
@@ -535,10 +525,10 @@ func EncodeStreamResult(dst []byte, r StreamResult) ([]byte, error) {
 
 // DecodeStreamResult parses a result payload.
 func DecodeStreamResult(p []byte) (StreamResult, error) {
-	d := payloadReader{b: p}
-	slot := d.uvarint()
-	class := d.uvarint()
-	if d.err != nil || !d.done() {
+	d := wire.NewReader(p)
+	slot := d.Uvarint()
+	class := d.Uvarint()
+	if !d.Done() {
 		return StreamResult{}, fmt.Errorf("comm: malformed stream result")
 	}
 	if slot > math.MaxInt32 || class > 256 {
@@ -559,96 +549,22 @@ func EncodeStreamError(dst []byte, e StreamError) ([]byte, error) {
 		return dst, fmt.Errorf("comm: invalid stream error %+v", e)
 	}
 	p := []byte{byte(e.Code)}
-	p = binary.AppendUvarint(p, uint64(len(e.Msg)))
-	p = append(p, e.Msg...)
+	p = wire.AppendString(p, e.Msg)
 	return AppendFrame(dst, FrameError, p)
 }
 
 // DecodeStreamError parses an error payload.
 func DecodeStreamError(p []byte) (StreamError, error) {
-	d := payloadReader{b: p}
-	code := d.byte()
-	n := d.uvarint()
-	if d.err != nil || n > 1024 {
+	d := wire.NewReader(p)
+	code := d.Byte()
+	msg := d.Str(1024)
+	if !d.Done() {
 		return StreamError{}, fmt.Errorf("comm: malformed stream error")
 	}
-	msg := d.bytes(int(n))
-	if d.err != nil || !d.done() {
-		return StreamError{}, fmt.Errorf("comm: malformed stream error")
-	}
-	return StreamError{Code: int(code), Msg: string(msg)}, nil
+	return StreamError{Code: int(code), Msg: msg}, nil
 }
 
 // EncodeHeartbeat appends an enveloped heartbeat frame to dst.
 func EncodeHeartbeat(dst []byte) ([]byte, error) {
 	return AppendFrame(dst, FrameHeartbeat, nil)
 }
-
-// appendZigzag appends a zigzag-coded signed varint.
-func appendZigzag(p []byte, v int64) []byte {
-	return binary.AppendUvarint(p, uint64((v<<1)^(v>>63)))
-}
-
-// payloadReader is a tiny cursor over a frame payload with sticky errors,
-// so decoders read fields linearly and check once.
-type payloadReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *payloadReader) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("comm: truncated payload")
-	}
-}
-
-func (d *payloadReader) byte() byte {
-	if d.err != nil || d.off >= len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *payloadReader) uint32() uint32 {
-	if d.err != nil || d.off+4 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *payloadReader) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *payloadReader) zigzag() int64 {
-	u := d.uvarint()
-	return int64(u>>1) ^ -int64(u&1)
-}
-
-func (d *payloadReader) bytes(n int) []byte {
-	if d.err != nil || n < 0 || d.off+n > len(d.b) {
-		d.fail()
-		return nil
-	}
-	v := d.b[d.off : d.off+n]
-	d.off += n
-	return v
-}
-
-func (d *payloadReader) done() bool { return d.err == nil && d.off == len(d.b) }

@@ -9,6 +9,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"origin/internal/wire"
 )
 
 // Matrix persistence. The adapted confidence matrix is the host's learned
@@ -124,9 +126,9 @@ const binaryInstantFreshFlag = 0x01
 func (m *Matrix) AppendBinary(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(m.sensors))
 	dst = binary.AppendUvarint(dst, uint64(m.classes))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.Alpha))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.RecallDiscount))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.RecallDecayPerSlot))
+	dst = wire.AppendF64(dst, m.Alpha)
+	dst = wire.AppendF64(dst, m.RecallDiscount)
+	dst = wire.AppendF64(dst, m.RecallDecayPerSlot)
 	var flags byte
 	if m.UseInstantFresh {
 		flags |= binaryInstantFreshFlag
@@ -134,7 +136,7 @@ func (m *Matrix) AppendBinary(dst []byte) []byte {
 	dst = append(dst, flags)
 	for s := range m.w {
 		for _, v := range m.w[s] {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+			dst = wire.AppendF64(dst, v)
 		}
 	}
 	return dst
@@ -147,33 +149,15 @@ func (m *Matrix) AppendBinary(dst []byte) []byte {
 // non-finite tuning knobs, and negative or non-finite weights all fail —
 // the same invariants NewMatrix/Set enforce on the write side.
 func DecodeBinary(b []byte) (*Matrix, int, error) {
-	off := 0
-	uv := func() (uint64, bool) {
-		v, n := binary.Uvarint(b[off:])
-		if n <= 0 {
-			return 0, false
-		}
-		off += n
-		return v, true
-	}
-	f64 := func() (float64, bool) {
-		if off+8 > len(b) {
-			return 0, false
-		}
-		v := math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
-		off += 8
-		return v, true
-	}
-	sensors, ok1 := uv()
-	classes, ok2 := uv()
-	if !ok1 || !ok2 || sensors == 0 || classes == 0 ||
-		sensors > maxBinaryMatrixDim || classes > maxBinaryMatrixDim {
+	d := wire.NewReader(b)
+	sensors := d.Count(maxBinaryMatrixDim)
+	classes := d.Count(maxBinaryMatrixDim)
+	if d.Err() != nil || sensors == 0 || classes == 0 {
 		return nil, 0, fmt.Errorf("ensemble: binary matrix geometry invalid")
 	}
-	alpha, ok1 := f64()
-	discount, ok2 := f64()
-	decay, ok3 := f64()
-	if !ok1 || !ok2 || !ok3 {
+	alpha, discount, decay := d.F64(), d.F64(), d.F64()
+	flags := d.Byte()
+	if d.Err() != nil {
 		return nil, 0, fmt.Errorf("ensemble: binary matrix header truncated")
 	}
 	for _, v := range []float64{alpha, discount, decay} {
@@ -181,23 +165,18 @@ func DecodeBinary(b []byte) (*Matrix, int, error) {
 			return nil, 0, fmt.Errorf("ensemble: binary matrix tuning knob not finite")
 		}
 	}
-	if off >= len(b) {
-		return nil, 0, fmt.Errorf("ensemble: binary matrix header truncated")
-	}
-	flags := b[off]
-	off++
 	if flags&^byte(binaryInstantFreshFlag) != 0 {
 		return nil, 0, fmt.Errorf("ensemble: binary matrix has unknown flags %#x", flags)
 	}
-	m := NewMatrix(int(sensors), int(classes))
+	m := NewMatrix(sensors, classes)
 	m.Alpha = alpha
 	m.RecallDiscount = discount
 	m.RecallDecayPerSlot = decay
 	m.UseInstantFresh = flags&binaryInstantFreshFlag != 0
 	for s := range m.w {
 		for c := range m.w[s] {
-			v, ok := f64()
-			if !ok {
+			v := d.F64()
+			if d.Err() != nil {
 				return nil, 0, fmt.Errorf("ensemble: binary matrix truncated at row %d", s)
 			}
 			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
@@ -206,7 +185,7 @@ func DecodeBinary(b []byte) (*Matrix, int, error) {
 			m.w[s][c] = v
 		}
 	}
-	return m, off, nil
+	return m, len(b) - len(d.Rest()), nil
 }
 
 // CopyFrom overwrites this matrix's weights and tuning knobs with src's.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"origin/internal/metrics"
 	"origin/internal/obs"
 	"origin/internal/sim"
 )
@@ -261,16 +260,4 @@ func (r *Fig5Result) String() string {
 	}
 	fmt.Fprintf(&b, " %9s\n", pct(r.B1Overall))
 	return b.String()
-}
-
-// MeanOverall returns the mean overall accuracy across a kind's widths —
-// used to verify the monotone width trend without pinning exact values.
-func (r *Fig5Result) MeanOverall(kind PolicyKind) float64 {
-	var vals []float64
-	for _, c := range r.Cells {
-		if c.Kind == kind {
-			vals = append(vals, c.Overall)
-		}
-	}
-	return metrics.Mean(vals)
 }

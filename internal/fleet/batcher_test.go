@@ -44,13 +44,7 @@ func TestMicroBatchedMatchesSerialReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loadgen: %v", err)
 	}
-	for i, tr := range rep.Sessions {
-		want := serialReplay(t, &cfg, i)
-		if !reflect.DeepEqual(tr.Classes, want) {
-			t.Errorf("user %d: micro-batched sequence diverged from serial replay:\n got %v\nwant %v",
-				i, tr.Classes, want)
-		}
-	}
+	requireReplay(t, &cfg, rep.Sessions)
 	snap := mgr.Snapshot()
 	if snap.WindowsBatched == 0 || snap.BatchFlushes == 0 {
 		t.Fatalf("batch path never exercised: %+v", snap)
@@ -76,12 +70,7 @@ func TestBatchSizeOneDisablesBatching(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loadgen: %v", err)
 	}
-	for i, tr := range rep.Sessions {
-		want := serialReplay(t, &cfg, i)
-		if !reflect.DeepEqual(tr.Classes, want) {
-			t.Errorf("user %d diverged with batching disabled:\n got %v\nwant %v", i, tr.Classes, want)
-		}
-	}
+	requireReplay(t, &cfg, rep.Sessions)
 	if snap := mgr.Snapshot(); snap.WindowsBatched != 0 || snap.BatchFlushes != 0 {
 		t.Fatalf("batch counters moved with batching disabled: %+v", snap)
 	}

@@ -2,11 +2,13 @@ package fleet
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
 	"origin/internal/ensemble"
 	"origin/internal/host"
+	"origin/internal/wire"
 )
 
 // Versioned session codec. A SessionState snapshot is everything a replica
@@ -93,9 +95,9 @@ func EncodeSessionState(st SessionState) ([]byte, error) {
 	}
 	b := append([]byte(nil), sessionMagic[:]...)
 	b = binary.AppendUvarint(b, SessionCodecVersion)
-	b = appendString(b, st.ID)
-	b = appendZigzag64(b, st.User)
-	b = appendString(b, st.Profile)
+	b = wire.AppendString(b, st.ID)
+	b = wire.AppendZigzag(b, st.User)
+	b = wire.AppendString(b, st.Profile)
 	b = binary.AppendUvarint(b, uint64(st.Opts.StaleLimit))
 	b = binary.AppendUvarint(b, uint64(st.Opts.Quorum))
 	var oflags byte
@@ -110,7 +112,7 @@ func EncodeSessionState(st SessionState) ([]byte, error) {
 	for _, e := range st.Device.Recall {
 		b = appendRecall(b, e)
 	}
-	b = appendZigzag64(b, int64(st.Device.Anticipated))
+	b = wire.AppendZigzag(b, int64(st.Device.Anticipated))
 	b = appendRecall(b, st.Device.LastFresh)
 	b = binary.AppendUvarint(b, uint64(st.Device.Received))
 	b = binary.AppendUvarint(b, uint64(st.Device.AdaptsApplied))
@@ -141,74 +143,65 @@ func DecodeSessionState(b []byte) (SessionState, error) {
 	if len(b) < len(sessionMagic) || string(b[:4]) != string(sessionMagic[:]) {
 		return st, fmt.Errorf("fleet: bad session snapshot magic")
 	}
-	d := &stateReader{b: b, off: 4}
-	if v := d.uvarint(); v != SessionCodecVersion {
-		if d.err == nil {
+	d := wire.NewReader(b[len(sessionMagic):])
+	if v := d.Uvarint(); v != SessionCodecVersion {
+		if d.Err() == nil {
 			return st, fmt.Errorf("fleet: unsupported session codec version %d (have %d)", v, SessionCodecVersion)
 		}
 		return st, fmt.Errorf("fleet: malformed session snapshot header")
 	}
-	st.ID = d.str(maxSessionID)
-	st.User = d.zigzag()
-	st.Profile = d.str(maxSessionProfile)
-	st.Opts.StaleLimit = d.count(math.MaxInt32)
-	st.Opts.Quorum = d.count(math.MaxInt32)
-	oflags := d.byte()
+	st.ID = d.Str(maxSessionID)
+	st.User = d.Zigzag()
+	st.Profile = d.Str(maxSessionProfile)
+	st.Opts.StaleLimit = d.Count(math.MaxInt32)
+	st.Opts.Quorum = d.Count(math.MaxInt32)
+	oflags := d.Byte()
 	st.Opts.Freeze = oflags&sessOptsFreeze != 0
-	st.Slot = d.count(math.MaxInt32)
-	if d.err != nil || st.ID == "" || st.Profile == "" || oflags&^byte(sessOptsFreeze) != 0 {
+	st.Slot = d.Count(math.MaxInt32)
+	if d.Err() != nil || st.ID == "" || st.Profile == "" || oflags&^byte(sessOptsFreeze) != 0 {
 		return SessionState{}, fmt.Errorf("fleet: malformed session snapshot header")
 	}
 
-	n := d.count(maxRecallEntries)
-	if d.err != nil || n == 0 {
+	n := d.Count(maxRecallEntries)
+	if d.Err() != nil || n == 0 {
 		return SessionState{}, fmt.Errorf("fleet: malformed recall section")
 	}
 	st.Device.Recall = make([]host.RecallState, n)
 	for i := range st.Device.Recall {
-		st.Device.Recall[i] = d.recall()
+		st.Device.Recall[i] = readRecall(&d)
 	}
-	st.Device.Anticipated = int(d.zigzag())
-	st.Device.LastFresh = d.recall()
-	st.Device.Received = d.count(math.MaxInt32)
-	st.Device.AdaptsApplied = d.count(math.MaxInt32)
+	st.Device.Anticipated = int(d.Zigzag())
+	st.Device.LastFresh = readRecall(&d)
+	st.Device.Received = d.Count(math.MaxInt32)
+	st.Device.AdaptsApplied = d.Count(math.MaxInt32)
 
-	st.Counters.Slots = d.count(math.MaxInt32)
-	st.Counters.FreshVotes = d.count(math.MaxInt32)
-	st.Counters.RecallVotes = d.count(math.MaxInt32)
-	st.Counters.AdaptationUpdates = d.count(math.MaxInt32)
-	st.Counters.QuorumAbstentions = d.count(math.MaxInt32)
-	if d.err != nil {
-		return SessionState{}, fmt.Errorf("fleet: malformed session snapshot: %v", d.err)
+	st.Counters.Slots = d.Count(math.MaxInt32)
+	st.Counters.FreshVotes = d.Count(math.MaxInt32)
+	st.Counters.RecallVotes = d.Count(math.MaxInt32)
+	st.Counters.AdaptationUpdates = d.Count(math.MaxInt32)
+	st.Counters.QuorumAbstentions = d.Count(math.MaxInt32)
+	if d.Err() != nil {
+		return SessionState{}, fmt.Errorf("fleet: malformed session snapshot: %v", d.Err())
 	}
 
-	m, consumed, err := ensemble.DecodeBinary(d.b[d.off:])
+	m, consumed, err := ensemble.DecodeBinary(d.Rest())
 	if err != nil {
 		return SessionState{}, fmt.Errorf("fleet: session snapshot matrix: %w", err)
 	}
-	d.off += consumed
+	d.Bytes(consumed) // consumed by the matrix decoder
 	st.Matrix = m
 
-	an := d.count(maxAttachment)
-	if d.err != nil {
+	an := d.Count(maxAttachment)
+	if d.Err() != nil {
 		return SessionState{}, fmt.Errorf("fleet: malformed attachment section")
 	}
 	if an > 0 {
-		st.Attachment = d.bytes(an)
+		st.Attachment = append([]byte(nil), d.Bytes(an)...)
 	}
-	if d.err != nil || d.off != len(d.b) {
+	if !d.Done() {
 		return SessionState{}, fmt.Errorf("fleet: session snapshot has trailing or missing bytes")
 	}
 	return st, nil
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendZigzag64(b []byte, v int64) []byte {
-	return binary.AppendUvarint(b, uint64((v<<1)^(v>>63)))
 }
 
 func appendRecall(b []byte, e host.RecallState) []byte {
@@ -217,101 +210,25 @@ func appendRecall(b []byte, e host.RecallState) []byte {
 		flags |= sessRecallValid
 	}
 	b = append(b, flags)
-	b = appendZigzag64(b, int64(e.Class))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Confidence))
+	b = wire.AppendZigzag(b, int64(e.Class))
+	b = wire.AppendF64(b, e.Confidence)
 	return binary.AppendUvarint(b, uint64(e.Slot))
 }
 
-// stateReader is a sticky-error cursor over a snapshot (the same pattern as
-// comm's payloadReader, kept package-local to avoid exporting it).
-type stateReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *stateReader) fail(msg string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%s", msg)
+// readRecall reads one appendRecall entry.
+func readRecall(d *wire.Reader) host.RecallState {
+	flags := d.Byte()
+	if flags&^byte(sessRecallValid) != 0 {
+		d.Fail(errors.New("unknown recall flags"))
 	}
-}
-
-func (d *stateReader) byte() byte {
-	if d.err != nil || d.off >= len(d.b) {
-		d.fail("truncated")
-		return 0
+	class := int(d.Zigzag())
+	conf := d.F64()
+	slot := d.Count(math.MaxInt32)
+	if math.IsNaN(conf) || math.IsInf(conf, 0) || conf < 0 {
+		d.Fail(errors.New("invalid recall confidence"))
 	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *stateReader) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("truncated varint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// count reads a uvarint bounded by max, as an int.
-func (d *stateReader) count(max int) int {
-	v := d.uvarint()
-	if d.err == nil && v > uint64(max) {
-		d.fail("count out of range")
-		return 0
-	}
-	return int(v)
-}
-
-func (d *stateReader) zigzag() int64 {
-	u := d.uvarint()
-	return int64(u>>1) ^ -int64(u&1)
-}
-
-func (d *stateReader) bytes(n int) []byte {
-	if d.err != nil || n < 0 || d.off+n > len(d.b) {
-		d.fail("truncated bytes")
-		return nil
-	}
-	v := append([]byte(nil), d.b[d.off:d.off+n]...)
-	d.off += n
-	return v
-}
-
-func (d *stateReader) str(max int) string {
-	n := d.count(max)
-	return string(d.bytes(n))
-}
-
-func (d *stateReader) f64() float64 {
-	if d.err != nil || d.off+8 > len(d.b) {
-		d.fail("truncated float")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
-	d.off += 8
-	return v
-}
-
-func (d *stateReader) recall() host.RecallState {
-	flags := d.byte()
-	if d.err == nil && flags&^byte(sessRecallValid) != 0 {
-		d.fail("unknown recall flags")
-	}
-	class := int(d.zigzag())
-	conf := d.f64()
-	slot := d.count(math.MaxInt32)
-	if d.err == nil && (math.IsNaN(conf) || math.IsInf(conf, 0) || conf < 0) {
-		d.fail("invalid recall confidence")
-	}
-	if d.err == nil && (class < -1 || class > math.MaxInt32) {
-		d.fail("recall class out of range")
+	if class < -1 || class > math.MaxInt32 {
+		d.Fail(errors.New("recall class out of range"))
 	}
 	return host.RecallState{Class: class, Confidence: conf, Slot: slot, Valid: flags&sessRecallValid != 0}
 }

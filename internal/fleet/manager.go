@@ -594,9 +594,6 @@ func (m *Manager) Classify(ctx context.Context, id string, inputs []SensorInput)
 // Registry exposes the model registry (e.g. for warm-up at startup).
 func (m *Manager) Registry() *Registry { return m.reg }
 
-// ActiveSessions returns the number of live sessions.
-func (m *Manager) ActiveSessions() int { return int(m.active.Load()) }
-
 // Snapshot returns the serving counters and gauges.
 func (m *Manager) Snapshot() MetricsSnapshot {
 	return MetricsSnapshot{

@@ -195,19 +195,6 @@ func (r *Registry) Get(profile string) (*Model, error) {
 	return e.model, e.err
 }
 
-// Profiles returns the profile names with a completed, successful build.
-func (r *Registry) Profiles() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []string
-	for name, e := range r.entries {
-		if e.model != nil {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
 // NumSensors is the sensor count every current profile deploys (the
 // paper's chest / left-ankle / right-wrist network).
 const NumSensors = synth.NumLocations

@@ -7,14 +7,11 @@ import (
 	"testing"
 	"time"
 
-	"origin"
-	"origin/internal/comm"
 	"origin/internal/fault"
 	"origin/internal/fleet"
 	"origin/internal/fleet/fleettest"
 	"origin/internal/loadgen"
 	"origin/internal/serve"
-	"origin/internal/synth"
 )
 
 // newTestServer stands up a full serving stack (manager + HTTP API) over
@@ -64,88 +61,21 @@ func replayConfig(baseURL string, mode loadgen.Mode, users, requests int) loadge
 	}
 }
 
-// serialReplay drives user i's exact request stream through a fresh facade
-// session — no HTTP, no queue, no concurrency.
-func serialReplay(t *testing.T, cfg *loadgen.Config, i int) []int {
+// requireReplay fails t for every user whose served sequence diverged from
+// loadgen.SerialReplay over the same tiny models: the fault-free,
+// single-node reference every loadgen run here must match.
+func requireReplay(t *testing.T, cfg *loadgen.Config, sessions []loadgen.SessionTrace) {
 	t.Helper()
-	model, err := fleettest.NewModel(cfg.Profile)
+	want, err := loadgen.SerialReplay(cfg, fleettest.NewModel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := origin.OpenSession(model, "replay", loadgen.UserID(i), origin.ServeOpts{
-		StaleLimit: cfg.StaleLimit, Quorum: cfg.Quorum, Freeze: cfg.Freeze,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := loadgen.NewStream(cfg, synth.MHEALTHProfile(), i)
-	classes := make([]int, cfg.Requests)
-	for k := 0; k < cfg.Requests; k++ {
-		req := st.Next(k)
-		inputs, err := serve.Inputs(&req)
-		if err != nil {
-			t.Fatalf("user %d round %d: %v", i, k, err)
-		}
-		res, err := sess.Classify(inputs)
-		if err != nil {
-			t.Fatalf("user %d round %d: %v", i, k, err)
-		}
-		classes[k] = res.Class
-	}
-	return classes
-}
-
-// serialStreamReplay rebuilds user i's stream-mode classification sequence
-// without a network: regenerate the exact frame bytes the live client sent
-// (FrameSource is deterministic), decode them through the wire codec, run
-// them through the same StreamAssembler the server uses, and classify each
-// completed round on a fresh facade session. Byte-identical inputs on both
-// paths — the quantisation loss happens before the wire, never differently
-// on either side of it.
-func serialStreamReplay(t *testing.T, cfg *loadgen.Config, i int) []int {
-	t.Helper()
-	model, err := fleettest.NewModel(cfg.Profile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := origin.OpenSession(model, "replay", loadgen.UserID(i), origin.ServeOpts{
-		StaleLimit: cfg.StaleLimit, Quorum: cfg.Quorum, Freeze: cfg.Freeze,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := loadgen.NewFrameSource(cfg, synth.MHEALTHProfile(), i)
-	asm := serve.NewStreamAssembler(model.Sensors(), model.Window)
-	var classes []int
-	for k := 0; k < cfg.Requests; k++ {
-		frames, err := fs.Next(k)
-		if err != nil {
-			t.Fatalf("user %d round %d: %v", i, k, err)
-		}
-		for _, ef := range frames {
-			f, err := comm.DecodeFrameBytes(ef.Bytes)
-			if err != nil {
-				t.Fatalf("user %d round %d: %v", i, k, err)
-			}
-			imu, err := comm.DecodeIMU(f.Payload)
-			if err != nil {
-				t.Fatalf("user %d round %d: %v", i, k, err)
-			}
-			end, err := asm.Ingest(imu)
-			if err != nil {
-				t.Fatalf("user %d round %d: %v", i, k, err)
-			}
-			if !end {
-				continue
-			}
-			res, err := sess.Classify(asm.TakeRound())
-			if err != nil {
-				t.Fatalf("user %d round %d: %v", i, k, err)
-			}
-			classes = append(classes, res.Class)
+	for i, tr := range sessions {
+		if !reflect.DeepEqual(tr.Classes, want[i]) {
+			t.Errorf("user %d: served sequence diverged from serial replay:\n got %v\nwant %v",
+				i, tr.Classes, want[i])
 		}
 	}
-	return classes
 }
 
 // prop (ISSUE acceptance): a concurrent stream-mode loadgen run yields
@@ -164,13 +94,7 @@ func TestStreamLoadgenMatchesSerialReplay(t *testing.T) {
 	if len(rep.Sessions) != cfg.Users {
 		t.Fatalf("traced %d sessions, want %d", len(rep.Sessions), cfg.Users)
 	}
-	for i, tr := range rep.Sessions {
-		want := serialStreamReplay(t, &cfg, i)
-		if !reflect.DeepEqual(tr.Classes, want) {
-			t.Errorf("user %d: stream sequence diverged from serial replay:\n got %v\nwant %v",
-				i, tr.Classes, want)
-		}
-	}
+	requireReplay(t, &cfg, rep.Sessions)
 	if rep.UplinkBytes <= 0 || rep.UplinkBytesPerClassification <= 0 {
 		t.Fatalf("stream run recorded no uplink bytes: %+v", rep)
 	}
@@ -180,7 +104,7 @@ func TestStreamLoadgenMatchesSerialReplay(t *testing.T) {
 // every stream connection mid-round, the reconnect/resume protocol keeps
 // every session's classification sequence byte-identical to the fault-free
 // serial replay — no lost rounds, no double classifications. Runs in CI
-// under -race via the chaos verification target.
+// under -race via the serve verification target.
 func TestStreamChaosLoadgenMatchesSerialReplay(t *testing.T) {
 	ts, mgr := newTestServer(t, 64, 4)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -223,13 +147,7 @@ func TestStreamChaosLoadgenMatchesSerialReplay(t *testing.T) {
 	if rep.OK != cfg.Users*cfg.Requests || rep.Errors != 0 {
 		t.Fatalf("rounds lost under chaos: %+v", rep)
 	}
-	for i, tr := range rep.Sessions {
-		want := serialStreamReplay(t, &cfg, i)
-		if !reflect.DeepEqual(tr.Classes, want) {
-			t.Errorf("user %d: chaos sequence diverged from fault-free serial replay:\n got %v\nwant %v",
-				i, tr.Classes, want)
-		}
-	}
+	requireReplay(t, &cfg, rep.Sessions)
 }
 
 // prop (ISSUE acceptance): for a fixed seed set, a concurrent loadgen run
@@ -258,12 +176,8 @@ func TestLoadgenMatchesSerialReplay(t *testing.T) {
 				if tr.User != loadgen.UserID(i) {
 					t.Fatalf("session %d traces user %d, want %d", i, tr.User, loadgen.UserID(i))
 				}
-				want := serialReplay(t, &cfg, i)
-				if !reflect.DeepEqual(tr.Classes, want) {
-					t.Errorf("user %d: served sequence diverged from serial facade replay:\n got %v\nwant %v",
-						i, tr.Classes, want)
-				}
 			}
+			requireReplay(t, &cfg, rep.Sessions)
 		})
 	}
 }
@@ -300,12 +214,7 @@ func TestLoadgenDeterministicUnderShedding(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loadgen: %v", err)
 	}
-	for i, tr := range rep.Sessions {
-		want := serialReplay(t, &cfg, i)
-		if !reflect.DeepEqual(tr.Classes, want) {
-			t.Errorf("user %d diverged under shedding:\n got %v\nwant %v", i, tr.Classes, want)
-		}
-	}
+	requireReplay(t, &cfg, rep.Sessions)
 	snap := mgr.Snapshot()
 	t.Logf("shed=%d accepted=%d (sheds are load-dependent; correctness is not)",
 		snap.RequestsShed, snap.RequestsAccepted)

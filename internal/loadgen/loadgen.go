@@ -94,24 +94,17 @@ type Config struct {
 	// before a user hard-fails (stream mode; default 8). The counter resets
 	// on every completed handshake.
 	ReconnectMax int
-	// Gap is per-user think time between rounds (default 0 = closed-loop
-	// flat out). A real wearable classifies about once a second, not
-	// back-to-back, and the availability column's denominator is user wall
-	// time *including* idle — so chaos drills that hold availability to a
-	// bar need a realistic gap, or a handful of reconnects dominates a
-	// wall-free run.
-	Gap time.Duration
 	// Client is the HTTP client (default: 30 s timeout).
 	Client *http.Client
 	// Traces records every session's classification sequence in the
 	// report (the replay tests need it; large runs may skip it).
 	Traces bool
 	// OnRound, when non-nil, is called after every successfully classified
-	// round with the run-wide completed-round total (1-based, counted
-	// across all users). Shard-chaos drills use it to trigger a replica
-	// kill at a deterministic point in the run's progress. Called from
-	// user goroutines; must be cheap and safe for concurrent use.
-	OnRound func(total int)
+	// round with the session that classified it and the run-wide
+	// completed-round total (1-based, counted across all users). Shard-chaos
+	// tests use it to kill a replica at a point in a session's own progress.
+	// Called from user goroutines; must be cheap and safe for concurrent use.
+	OnRound func(session string, total int)
 
 	// rounds is the run-wide completed-round counter behind OnRound. It is
 	// a pointer so Config stays copyable; Run allocates it.
@@ -119,13 +112,13 @@ type Config struct {
 }
 
 // noteRound records one successfully classified round and fires OnRound.
-func (c *Config) noteRound() {
+func (c *Config) noteRound(session string) {
 	if c.rounds == nil {
 		return
 	}
 	n := c.rounds.Add(1)
 	if c.OnRound != nil {
-		c.OnRound(int(n))
+		c.OnRound(session, int(n))
 	}
 }
 
@@ -177,9 +170,9 @@ type Report struct {
 	ParseNsPerClassification float64 `json:"parseNsPerClassification"`
 
 	// Resume/availability columns. Only stream mode can make them non-zero,
-	// but every mode emits them — benchdiff consumers (chaos-verify,
-	// slo-verify, report diffing) see one schema regardless of payload kind
-	// instead of keys that appear and vanish with the mode. Reconnects
+	// but every mode emits them — report consumers (benchdiff, report
+	// diffing) see one schema regardless of payload kind instead of keys
+	// that appear and vanish with the mode. Reconnects
 	// counts completed re-handshakes after a connection loss; ResumeAttempts
 	// the hello-with-token handshakes the server answered; ResumeMisses the
 	// answers that found no resumable state. DoubleClassifies counts rounds
@@ -354,9 +347,6 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.ReconnectMax < 1 {
 		return nil, fmt.Errorf("loadgen: reconnect max %d below 1", cfg.ReconnectMax)
 	}
-	if cfg.Gap < 0 {
-		return nil, fmt.Errorf("loadgen: gap %v below 0", cfg.Gap)
-	}
 	if cfg.VoteFlip == 0 {
 		cfg.VoteFlip = 0.2
 	}
@@ -468,7 +458,7 @@ func createSession(cfg *Config, i int) (serve.CreateSessionResponse, error) {
 			time.Sleep(time.Duration(a) * 100 * time.Millisecond)
 		}
 		var created serve.CreateSessionResponse
-		status, _, err := postJSON(cfg.Client, cfg.BaseURL+"/v1/sessions", create, &created)
+		status, _, err := PostJSON(cfg.Client, cfg.BaseURL+"/v1/sessions", create, &created)
 		if err == nil && status == http.StatusCreated {
 			return created, nil
 		}
@@ -495,14 +485,11 @@ func runUser(cfg *Config, profile *synth.Profile, i int) userResult {
 	st := NewStream(cfg, profile, i)
 	url := cfg.BaseURL + "/v1/sessions/" + created.ID + "/classify"
 	for k := 0; k < cfg.Requests; k++ {
-		if k > 0 && cfg.Gap > 0 {
-			time.Sleep(cfg.Gap)
-		}
 		req := st.Next(k)
 		for attempt := 0; ; attempt++ {
 			var res serve.ClassifyResponse
 			t0 := time.Now()
-			status, reqBytes, err := postJSON(cfg.Client, url, req, &res)
+			status, reqBytes, err := PostJSON(cfg.Client, url, req, &res)
 			lat := time.Since(t0)
 			r.sent++
 			// Every send is real uplink, including retries of shed rounds.
@@ -524,7 +511,7 @@ func runUser(cfg *Config, profile *synth.Profile, i int) userResult {
 				return r
 			}
 			r.ok++
-			cfg.noteRound()
+			cfg.noteRound(created.ID)
 			r.latencies = append(r.latencies, lat)
 			r.trace.Classes = append(r.trace.Classes, res.Class)
 			if res.Class == st.Truth(k) {
@@ -536,10 +523,10 @@ func runUser(cfg *Config, profile *synth.Profile, i int) userResult {
 	return r
 }
 
-// postJSON posts v as JSON and decodes the response into out (when the
-// body is JSON). It returns the HTTP status and the request body size —
-// the uplink-bytes accounting unit for the JSON modes.
-func postJSON(c *http.Client, url string, v, out any) (int, int, error) {
+// PostJSON posts v as JSON and decodes a 2xx response into out (when out
+// is non-nil). It returns the HTTP status and the request body size — the
+// uplink-bytes accounting unit for the JSON modes.
+func PostJSON(c *http.Client, url string, v, out any) (int, int, error) {
 	body, err := json.Marshal(v)
 	if err != nil {
 		return 0, 0, err

@@ -455,9 +455,6 @@ func runStreamUser(cfg *Config, profile *synth.Profile, i int) (r userResult) {
 
 	fs := NewFrameSource(cfg, profile, i)
 	for k := 0; k < cfg.Requests; k++ {
-		if k > 0 && cfg.Gap > 0 {
-			time.Sleep(cfg.Gap)
-		}
 		frames, err := fs.Next(k)
 		if err != nil {
 			return fail(err)
@@ -470,7 +467,7 @@ func runStreamUser(cfg *Config, profile *synth.Profile, i int) (r userResult) {
 		}
 		lat := time.Since(t0)
 		r.ok++
-		cfg.noteRound()
+		cfg.noteRound(created.ID)
 		r.latencies = append(r.latencies, lat)
 		r.trace.Classes = append(r.trace.Classes, class)
 		if class == fs.Truth(k) {

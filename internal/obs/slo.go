@@ -22,7 +22,7 @@ import (
 // The Measured section holds everything wall-clock-dependent — latency
 // percentiles, shed counts, reconnect tallies, availability. Those can
 // never be byte-stable across runs, so they are gated on SLO bars
-// (benchdiff slo-verify) instead of byte equality.
+// (benchdiff drill-verify) instead of byte equality.
 //
 // Nothing in either section may be a Go map: encoding/json iterates maps in
 // sorted-key order, but keeping the structures map-free makes canonical
@@ -57,9 +57,13 @@ type SLOPhase struct {
 	ColdStarts int `json:"coldStarts"`
 	Retired    int `json:"retired"`
 	Drifted    int `json:"drifted"`
-	// Chaos/Pressure record whether a fault or pressure window was open.
-	Chaos    bool `json:"chaos"`
-	Pressure bool `json:"pressure"`
+	// Chaos/Pressure record whether a fault or pressure window was open;
+	// ShardOps names the planned shard-topology changes (kill, leave,
+	// join) applied at phase entry. Together they are the drill plan whose
+	// anti-vacuity bars drill-verify derives from the report itself.
+	Chaos    bool     `json:"chaos"`
+	Pressure bool     `json:"pressure"`
+	ShardOps []string `json:"shardOps,omitempty"`
 	// Correct/Accuracy are the phase's classification outcome against
 	// ground truth (deterministic: sequences are pure functions of inputs).
 	Correct  int     `json:"correct"`

@@ -47,6 +47,9 @@ func buildCanonical(pl *plan, traces []LineageTrace) obs.SLOCanonical {
 			Chaos:       ph.Chaos != nil,
 			Pressure:    ph.Pressure != nil,
 		}
+		for _, op := range ph.ShardOps {
+			sp.ShardOps = append(sp.ShardOps, op.Op)
+		}
 		for _, idx := range pl.live[p] {
 			lp := &pl.lineages[idx]
 			if lp.Born == p {

@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -301,7 +299,7 @@ func Run(spec *Spec, h Handles) (*Result, error) {
 // persistent connection) for a lineage born at phase p.
 func (e *engine) coldStart(lp lineagePlan, profile *synth.Profile, p int) (*liveLineage, error) {
 	var created serve.CreateSessionResponse
-	status, err := postJSON(e.h.Client, e.h.BaseURL+"/v1/sessions",
+	status, _, err := loadgen.PostJSON(e.h.Client, e.h.BaseURL+"/v1/sessions",
 		serve.CreateSessionRequest{Profile: e.spec.Profile, User: lp.Wearer}, &created)
 	if err != nil || status != http.StatusCreated {
 		return nil, fmt.Errorf("scenario: lineage %d create session: status %d err %v", lp.Index, status, err)
@@ -447,7 +445,7 @@ func (e *engine) httpRound(l *liveLineage) (int, error) {
 	for attempt := 0; ; attempt++ {
 		var res serve.ClassifyResponse
 		t0 := time.Now()
-		status, err := postJSON(e.h.Client, url, req, &res)
+		status, _, err := loadgen.PostJSON(e.h.Client, url, req, &res)
 		if err != nil {
 			return 0, fmt.Errorf("scenario: lineage %d round %d: %v", l.lp.Index, l.gen.slot()-1, err)
 		}
@@ -462,22 +460,4 @@ func (e *engine) httpRound(l *liveLineage) (int, error) {
 		l.latencies = append(l.latencies, time.Since(t0))
 		return res.Class, nil
 	}
-}
-
-// postJSON posts v as JSON and decodes a 2xx body into out.
-func postJSON(c *http.Client, url string, v, out any) (int, error) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := c.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if out != nil && resp.StatusCode < 300 {
-		return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode, nil
 }

@@ -3,8 +3,8 @@ package scenario
 import (
 	"fmt"
 
-	"origin/internal/comm"
 	"origin/internal/fleet"
+	"origin/internal/loadgen"
 	"origin/internal/serve"
 )
 
@@ -50,9 +50,12 @@ func SerialReplay(spec *Spec, newModel func(profile string) (*fleet.Model, error
 				truth := gen.truth()
 				var class int
 				if lp.Stream {
-					class, err = replayStreamRound(gen, asm, sess)
+					var frames []loadgen.EncodedFrame
+					if frames, err = gen.frames(); err == nil {
+						class, err = loadgen.ReplayRound(frames, asm, sess)
+					}
 				} else {
-					class, err = replayHTTPRound(gen, sess)
+					class, err = loadgen.ReplayRequest(gen.request(), sess)
 				}
 				if err != nil {
 					return nil, fmt.Errorf("scenario: replay lineage %d phase %d round %d: %w",
@@ -65,56 +68,4 @@ func SerialReplay(spec *Spec, newModel func(profile string) (*fleet.Model, error
 		traces[lp.Index] = tr
 	}
 	return traces, nil
-}
-
-// replayStreamRound decodes one round's frames through the wire codec and
-// server-side assembler — the exact transform a live stream round's bytes
-// undergo — and classifies the completed round.
-func replayStreamRound(gen *lineageGen, asm *serve.StreamAssembler, sess *fleet.Session) (int, error) {
-	frames, err := gen.frames()
-	if err != nil {
-		return 0, err
-	}
-	class := -1
-	for _, ef := range frames {
-		f, err := comm.DecodeFrameBytes(ef.Bytes)
-		if err != nil {
-			return 0, err
-		}
-		imu, err := comm.DecodeIMU(f.Payload)
-		if err != nil {
-			return 0, err
-		}
-		end, err := asm.Ingest(imu)
-		if err != nil {
-			return 0, err
-		}
-		if !end {
-			continue
-		}
-		res, err := sess.Classify(asm.TakeRound())
-		if err != nil {
-			return 0, err
-		}
-		class = res.Class
-	}
-	if class < 0 {
-		return 0, fmt.Errorf("round produced no end-of-round frame")
-	}
-	return class, nil
-}
-
-// replayHTTPRound converts one round's JSON payload through the server's
-// request decoder and classifies it.
-func replayHTTPRound(gen *lineageGen, sess *fleet.Session) (int, error) {
-	req := gen.request()
-	inputs, err := serve.Inputs(&req)
-	if err != nil {
-		return 0, err
-	}
-	res, err := sess.Classify(inputs)
-	if err != nil {
-		return 0, err
-	}
-	return res.Class, nil
 }

@@ -76,7 +76,7 @@ func TestRunCanonicalDeterministic(t *testing.T) {
 // prop (ISSUE acceptance): a zero-fault day — full lifecycle machinery
 // (churn, drift, connection cycling) but no chaos or pressure — replays
 // classification sequences identical to serial single-session execution
-// through the facade. Runs in CI under -race via the scenario-smoke job.
+// through the facade. Runs in CI under -race via the race job's stress step.
 func TestCalmRunMatchesSerialReplay(t *testing.T) {
 	spec, err := scenario.CalmScenario("MHEALTH", 7)
 	if err != nil {

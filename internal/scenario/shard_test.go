@@ -35,7 +35,7 @@ func newShardStack(t *testing.T) (scenario.Handles, *cluster.Cluster) {
 // fresh join mid-run, every lineage on the stream front — finishes with zero
 // lost rounds, a clean resume protocol, at least one session migrated across
 // a shard boundary, and per-lineage sequences byte-identical to the
-// single-node serial replayer. Runs in CI under -race via verify-shard.
+// single-node serial replayer. Runs in CI under -race via the race job's stress step.
 func TestShardScenarioMatchesSerialReplay(t *testing.T) {
 	spec, err := scenario.ShardScenario("MHEALTH", 13)
 	if err != nil {

@@ -14,7 +14,7 @@
 // sequence digest) is byte-identical across same-seed runs — under -race,
 // under chaos, under pressure. Wall-clock observations (latency, shed,
 // reconnects, availability) live in the measured half and are gated on SLO
-// bars instead (cmd/benchdiff slo-verify).
+// bars instead (cmd/benchdiff drill-verify).
 //
 // RNG stream layout (all disjoint by construction): lineage L draws its
 // private seed family from base = Spec.Seed + 7919·L + 13; base+1 decides

@@ -373,9 +373,6 @@ func (p *AdaptiveWidth) Name() string {
 	return fmt.Sprintf("Adaptive(RR%d..RR%d)", p.N*p.MinStride, p.N*p.MaxStride)
 }
 
-// LastStride returns the stride chosen at the most recent decision.
-func (p *AdaptiveWidth) LastStride() int { return p.lastStride }
-
 // Decide implements Policy.
 func (p *AdaptiveWidth) Decide(ctx *Context) []int {
 	if ctx.Slot < p.nextDecision {

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"origin/internal/synth"
+	"origin/internal/wire"
 )
 
 // Stream-lineage attachment codec. The fleet session snapshot carries an
@@ -37,15 +38,14 @@ func encodeStreamAttachment(st *streamState) []byte {
 	a := st.asm
 	b := append([]byte(nil), attachMagic[:]...)
 	b = binary.AppendUvarint(b, attachVersion)
-	b = binary.AppendUvarint(b, uint64(len(st.token)))
-	b = append(b, st.token...)
+	b = wire.AppendString(b, st.token)
 	var flags byte
 	if st.hasLast {
 		flags |= attachHasLast
 	}
 	b = append(b, flags)
 	b = binary.AppendUvarint(b, uint64(st.lastSlot))
-	b = appendAttachZigzag(b, int64(st.lastClass))
+	b = wire.AppendZigzag(b, int64(st.lastClass))
 	b = binary.AppendUvarint(b, uint64(len(a.sensors)))
 	b = binary.AppendUvarint(b, uint64(a.window))
 	for i := range a.sensors {
@@ -58,7 +58,7 @@ func encodeStreamAttachment(st *streamState) []byte {
 		}
 		b = append(b, 1)
 		for _, v := range ss.ring {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+			b = wire.AppendF64(b, v)
 		}
 	}
 	b = binary.AppendUvarint(b, uint64(len(a.round)))
@@ -75,17 +75,17 @@ func decodeStreamAttachment(blob []byte, session string, sensors, window int) (*
 	if len(blob) < len(attachMagic) || string(blob[:4]) != string(attachMagic[:]) {
 		return nil, fmt.Errorf("serve: bad stream attachment magic")
 	}
-	d := &attachReader{b: blob, off: 4}
-	if v := d.uvarint(); d.err != nil || v != attachVersion {
+	d := wire.NewReader(blob[len(attachMagic):])
+	if v := d.Uvarint(); d.Err() != nil || v != attachVersion {
 		return nil, fmt.Errorf("serve: unsupported stream attachment version")
 	}
-	token := d.str(attachMaxToken)
-	flags := d.byte()
-	lastSlot := d.count(math.MaxInt32)
-	lastClass := int(d.zigzag())
-	ns := d.count(attachMaxSensors)
-	win := d.count(attachMaxWindow)
-	if d.err != nil || token == "" || flags&^byte(attachHasLast) != 0 {
+	token := d.Str(attachMaxToken)
+	flags := d.Byte()
+	lastSlot := d.Count(math.MaxInt32)
+	lastClass := int(d.Zigzag())
+	ns := d.Count(attachMaxSensors)
+	win := d.Count(attachMaxWindow)
+	if d.Err() != nil || token == "" || flags&^byte(attachHasLast) != 0 {
 		return nil, fmt.Errorf("serve: malformed stream attachment header")
 	}
 	if ns != sensors || win != window {
@@ -97,25 +97,25 @@ func decodeStreamAttachment(blob []byte, session string, sensors, window int) (*
 	asm := NewStreamAssembler(sensors, window)
 	for i := 0; i < sensors; i++ {
 		ss := &asm.sensors[i]
-		ss.nextSeq = d.count(math.MaxInt32)
-		ss.filled = d.count(window)
-		hasRing := d.byte()
-		if d.err != nil || hasRing > 1 {
+		ss.nextSeq = d.Count(math.MaxInt32)
+		ss.filled = d.Count(window)
+		hasRing := d.Byte()
+		if d.Err() != nil || hasRing > 1 {
 			return nil, fmt.Errorf("serve: malformed stream attachment sensor %d", i)
 		}
 		if hasRing == 1 {
 			ss.ring = make([]float64, synth.Channels*window)
 			for j := range ss.ring {
-				ss.ring[j] = d.f64()
+				ss.ring[j] = d.F64()
 			}
 		} else if ss.filled != 0 || ss.nextSeq != 0 {
 			return nil, fmt.Errorf("serve: stream attachment sensor %d has progress but no ring", i)
 		}
 	}
-	nr := d.count(sensors)
+	nr := d.Count(sensors)
 	for i := 0; i < nr; i++ {
-		sensor := d.count(sensors - 1)
-		if d.err != nil {
+		sensor := d.Count(sensors - 1)
+		if d.Err() != nil {
 			break
 		}
 		if asm.inRound[sensor] {
@@ -124,7 +124,7 @@ func decodeStreamAttachment(blob []byte, session string, sensors, window int) (*
 		asm.inRound[sensor] = true
 		asm.round = append(asm.round, sensor)
 	}
-	if d.err != nil || d.off != len(d.b) {
+	if !d.Done() {
 		return nil, fmt.Errorf("serve: malformed stream attachment")
 	}
 	return &streamState{
@@ -135,81 +135,4 @@ func decodeStreamAttachment(blob []byte, session string, sensors, window int) (*
 		lastClass: lastClass,
 		hasLast:   flags&attachHasLast != 0,
 	}, nil
-}
-
-func appendAttachZigzag(b []byte, v int64) []byte {
-	return binary.AppendUvarint(b, uint64((v<<1)^(v>>63)))
-}
-
-// attachReader is a sticky-error cursor (the fleet codec keeps its own; the
-// pattern is small enough that sharing would couple the packages for 40
-// lines).
-type attachReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *attachReader) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("truncated")
-	}
-}
-
-func (d *attachReader) byte() byte {
-	if d.err != nil || d.off >= len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *attachReader) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *attachReader) count(max int) int {
-	v := d.uvarint()
-	if d.err == nil && v > uint64(max) {
-		d.fail()
-		return 0
-	}
-	return int(v)
-}
-
-func (d *attachReader) zigzag() int64 {
-	u := d.uvarint()
-	return int64(u>>1) ^ -int64(u&1)
-}
-
-func (d *attachReader) str(max int) string {
-	n := d.count(max)
-	if d.err != nil || d.off+n > len(d.b) {
-		d.fail()
-		return ""
-	}
-	v := string(d.b[d.off : d.off+n])
-	d.off += n
-	return v
-}
-
-func (d *attachReader) f64() float64 {
-	if d.err != nil || d.off+8 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
-	d.off += 8
-	return v
 }

@@ -62,7 +62,9 @@ type Metrics struct {
 	StreamStoreResumes atomic.Int64
 
 	// Downlink instrumentation: result-frame flushes (consecutive results
-	// coalesce into one write) and heartbeats emitted.
+	// coalesce into one write) and heartbeats emitted. Each is counted when
+	// it is committed to the connection, before the write, so a peer that
+	// has read a frame always finds it counted.
 	StreamResultFlushes atomic.Int64
 	StreamHeartbeats    atomic.Int64
 }
@@ -208,9 +210,14 @@ type connWriter struct {
 	conn net.Conn
 }
 
-func (w *connWriter) write(b []byte, timeout time.Duration) error {
+// write sends b, first adding one to sent (nil = uncounted) under the
+// write lock.
+func (w *connWriter) write(b []byte, timeout time.Duration, sent *atomic.Int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if sent != nil {
+		sent.Add(1)
+	}
 	_ = w.conn.SetWriteDeadline(time.Now().Add(timeout))
 	_, err := w.conn.Write(b)
 	return err
@@ -337,13 +344,17 @@ func (s *StreamServer) handle(conn net.Conn) {
 		s.reject(w, comm.StreamErrInternal, "hello-ack encode failed")
 		return
 	}
-	if err := w.write(ackBytes, streamWriteTimeout); err != nil {
+	if err := w.write(ackBytes, streamWriteTimeout, nil); err != nil {
 		return
 	}
 
 	// Heartbeats at IdleTimeout/3: three missed beats fit inside the peer's
 	// own idle window, and a half-open connection dies here from the failed
 	// write instead of pinning the handler until the read deadline.
+	var heartbeats, flushes *atomic.Int64
+	if m := s.cfg.Metrics; m != nil {
+		heartbeats, flushes = &m.StreamHeartbeats, &m.StreamResultFlushes
+	}
 	hbStop := make(chan struct{})
 	defer close(hbStop)
 	if hb, err := comm.EncodeHeartbeat(nil); err == nil {
@@ -355,12 +366,9 @@ func (s *StreamServer) handle(conn net.Conn) {
 				case <-hbStop:
 					return
 				case <-t.C:
-					if err := w.write(hb, streamCloseTimeout); err != nil {
+					if err := w.write(hb, streamCloseTimeout, heartbeats); err != nil {
 						conn.Close()
 						return
-					}
-					if s.cfg.Metrics != nil {
-						s.cfg.Metrics.StreamHeartbeats.Add(1)
 					}
 				}
 			}
@@ -373,13 +381,10 @@ func (s *StreamServer) handle(conn net.Conn) {
 		if len(pending) == 0 {
 			return nil
 		}
-		if err := w.write(pending, streamWriteTimeout); err != nil {
+		if err := w.write(pending, streamWriteTimeout, flushes); err != nil {
 			return err
 		}
 		pending = pending[:0]
-		if s.cfg.Metrics != nil {
-			s.cfg.Metrics.StreamResultFlushes.Add(1)
-		}
 		return nil
 	}
 	for {
@@ -522,7 +527,7 @@ func (s *StreamServer) reject(w *connWriter, code int, msg string) {
 	if err != nil {
 		return
 	}
-	_ = w.write(out, streamCloseTimeout)
+	_ = w.write(out, streamCloseTimeout, nil)
 }
 
 // StreamAssembler reconstructs sliding windows from one connection's IMU

@@ -43,10 +43,6 @@ func New(shape ...int) *Tensor {
 	return &Tensor{shape: s, data: make([]float64, n)}
 }
 
-// Zeros is an alias of New that reads better at call sites which
-// emphasise the initial contents rather than allocation.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
 // Full returns a tensor with every element set to v.
 func Full(v float64, shape ...int) *Tensor {
 	t := New(shape...)
