@@ -47,7 +47,7 @@ verify-bench:
 	$(GO) test $(BENCH_FORWARD) > /tmp/bench_forward_new.txt
 	$(GO) run ./cmd/benchdiff extract -o /tmp/BENCH_forward_new.json /tmp/bench_forward_new.txt
 	$(GO) run ./cmd/benchdiff compare -o bench_diff.txt BENCH_forward.json /tmp/BENCH_forward_new.json
-	$(GO) run ./cmd/benchdiff verify -min 2.0 -min-int8 3.0 /tmp/BENCH_forward_new.json
+	$(GO) run ./cmd/benchdiff verify /tmp/BENCH_forward_new.json
 
 # Re-record the committed serve-side wire baseline: one loadgen report per
 # payload mode (JSON votes, JSON windows, binary stream) over the same

@@ -2,22 +2,25 @@
 // baseline and gates CI on it.
 //
 //	go test -bench ... | benchdiff extract -o BENCH_forward.json
-//	benchdiff compare -threshold 0.15 -o bench_diff.txt old.json new.json
-//	benchdiff verify -min 2.0 -min-int8 3.0 new.json
+//	benchdiff compare -o bench_diff.txt old.json new.json
+//	benchdiff verify new.json
 //	benchdiff serve-extract -o BENCH_serve.json windows.json stream.json
-//	benchdiff serve-verify -min-wire-compression 10 BENCH_serve.json
+//	benchdiff serve-verify BENCH_serve.json
 //	benchdiff drill-verify slo.json slo_rerun.json
+//
+// The gates take no bar flags: every bar is a constant below, so a CI step
+// cannot loosen one.
 //
 // Raw nanoseconds are not comparable across machines, so compare normalises
 // every benchmark against an anchor benchmark recorded in the same run
 // (BenchmarkKernelReference: a frozen naive kernel that optimisation work
 // never touches, measuring the machine rather than the code). A benchmark
-// regresses when its anchor-relative cost grows by more than the threshold.
+// regresses when its anchor-relative cost grows by more than 15%.
 //
 // verify checks the serving acceptance bars directly against the float
 // single-window baseline (BenchmarkForwardSingle): the per-window cost of
-// BenchmarkForwardBatch/b16 must beat it by at least -min, and the int8 hot
-// path (BenchmarkForwardInt8Batch/b16) by at least -min-int8.
+// BenchmarkForwardBatch/b16 must beat it by at least 2×, and the int8 hot
+// path (BenchmarkForwardInt8Batch/b16) by at least 3×.
 package main
 
 import (
@@ -39,9 +42,9 @@ const (
 	benchBatch16     = "BenchmarkForwardBatch/b16"
 	benchInt8Batch16 = "BenchmarkForwardInt8Batch/b16"
 	perWindowMetric  = "ns/window"
-	defaultThreshold = 0.15
-	defaultMinSpeed  = 2.0
-	defaultMinInt8   = 3.0
+	regressThreshold = 0.15
+	minBatchSpeedup  = 2.0
+	minInt8Speedup   = 3.0
 )
 
 // Result is one benchmark's recorded costs: the headline ns/op plus every
@@ -89,10 +92,10 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   benchdiff extract [-anchor name] [-o out.json] [bench.txt]
-  benchdiff compare [-threshold frac] [-o report.txt] old.json new.json
-  benchdiff verify [-min factor] [-min-int8 factor] new.json
+  benchdiff compare [-o report.txt] old.json new.json
+  benchdiff verify new.json
   benchdiff serve-extract [-o serve.json] report.json...
-  benchdiff serve-verify [-min-wire-compression factor] [-max-accuracy-drop frac] serve.json
+  benchdiff serve-verify serve.json
   benchdiff drill-verify slo.json [twin_slo.json]`)
 	os.Exit(2)
 }
@@ -200,16 +203,10 @@ func readFile(path string) (File, error) {
 }
 
 func cmdCompare(args []string) error {
-	thresholdStr, outPath := "", ""
-	rest, err := parseFlags(args, map[string]*string{"-threshold": &thresholdStr, "-o": &outPath})
+	outPath := ""
+	rest, err := parseFlags(args, map[string]*string{"-o": &outPath})
 	if err != nil {
 		return err
-	}
-	threshold := defaultThreshold
-	if thresholdStr != "" {
-		if threshold, err = strconv.ParseFloat(thresholdStr, 64); err != nil {
-			return fmt.Errorf("bad -threshold: %w", err)
-		}
 	}
 	if len(rest) != 2 {
 		return fmt.Errorf("compare needs exactly two files: old.json new.json")
@@ -238,7 +235,7 @@ func cmdCompare(args []string) error {
 
 	var report strings.Builder
 	fmt.Fprintf(&report, "benchdiff: anchor %s old=%.0fns new=%.0fns threshold=%+.0f%%\n",
-		old.Anchor, anchorOld, anchorNew, threshold*100)
+		old.Anchor, anchorOld, anchorNew, regressThreshold*100)
 	fmt.Fprintf(&report, "%-40s %12s %12s %9s\n", "benchmark", "old(rel)", "new(rel)", "delta")
 	failed := 0
 	for _, name := range names {
@@ -253,7 +250,7 @@ func cmdCompare(args []string) error {
 		relNew := n.NsPerOp / anchorNew
 		delta := relNew/relOld - 1
 		verdict := "ok"
-		if delta > threshold {
+		if delta > regressThreshold {
 			verdict = "REGRESSED"
 			failed++
 		}
@@ -266,28 +263,15 @@ func cmdCompare(args []string) error {
 		}
 	}
 	if failed > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed beyond %.0f%%", failed, threshold*100)
+		return fmt.Errorf("%d benchmark(s) regressed beyond %.0f%%", failed, regressThreshold*100)
 	}
 	return nil
 }
 
 func cmdVerify(args []string) error {
-	minStr, minInt8Str := "", ""
-	rest, err := parseFlags(args, map[string]*string{"-min": &minStr, "-min-int8": &minInt8Str})
+	rest, err := parseFlags(args, nil)
 	if err != nil {
 		return err
-	}
-	minSpeed := defaultMinSpeed
-	if minStr != "" {
-		if minSpeed, err = strconv.ParseFloat(minStr, 64); err != nil {
-			return fmt.Errorf("bad -min: %w", err)
-		}
-	}
-	minInt8 := defaultMinInt8
-	if minInt8Str != "" {
-		if minInt8, err = strconv.ParseFloat(minInt8Str, 64); err != nil {
-			return fmt.Errorf("bad -min-int8: %w", err)
-		}
 	}
 	if len(rest) != 1 {
 		return fmt.Errorf("verify needs exactly one file")
@@ -304,8 +288,8 @@ func cmdVerify(args []string) error {
 		bench string
 		min   float64
 	}{
-		{benchBatch16, minSpeed},
-		{benchInt8Batch16, minInt8},
+		{benchBatch16, minBatchSpeedup},
+		{benchInt8Batch16, minInt8Speedup},
 	} {
 		batch, err := perWindow(f, bar.bench)
 		if err != nil {

@@ -76,16 +76,21 @@ func TestCompareFlagsRealRegression(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := filepath.Join(dir, "old.json")
 	newPath := filepath.Join(dir, "new.json")
-	// Anchor steady, benchmark 30% slower: over the 15% default threshold.
+	// Anchor steady, benchmark 30% slower: over the fixed 15% threshold.
 	writeBaseline(t, oldPath, 1000, map[string]float64{"BenchmarkX": 5000})
 	writeBaseline(t, newPath, 1000, map[string]float64{"BenchmarkX": 6500})
 	err := cmdCompare([]string{oldPath, newPath})
 	if err == nil {
 		t.Fatal("30% regression passed the 15% gate")
 	}
-	// A looser threshold lets the same diff through.
-	if err := cmdCompare([]string{"-threshold", "0.5", oldPath, newPath}); err != nil {
-		t.Fatalf("regression under threshold still failed: %v", err)
+	// The threshold is not a flag: asking to loosen it is refused.
+	if err := cmdCompare([]string{"-threshold", "0.5", oldPath, newPath}); err == nil || !strings.Contains(err.Error(), "unknown flag -threshold") {
+		t.Fatalf("retired -threshold flag not refused: %v", err)
+	}
+	// 14% slower stays under the bar.
+	writeBaseline(t, newPath, 1000, map[string]float64{"BenchmarkX": 5700})
+	if err := cmdCompare([]string{oldPath, newPath}); err != nil {
+		t.Fatalf("14%% slowdown failed the 15%% gate: %v", err)
 	}
 }
 
@@ -135,15 +140,39 @@ func TestVerifySpeedupGate(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Float 2.4x vs 2x bar, int8 3.16x vs 3x bar: both pass by default.
+	// Float 2.4x vs 2x bar, int8 3.16x vs 3x bar: both pass.
 	if err := cmdVerify([]string{path}); err != nil {
-		t.Fatalf("default gates failed: %v", err)
+		t.Fatalf("fixed gates failed: %v", err)
 	}
-	if err := cmdVerify([]string{"-min", "3.0", path}); err == nil {
-		t.Fatal("2.4x float speedup passed a 3x gate")
+	// The bars are not flags: asking to move one is refused.
+	for _, flag := range []string{"-min", "-min-int8"} {
+		if err := cmdVerify([]string{flag, "1.0", path}); err == nil || !strings.Contains(err.Error(), "unknown flag "+flag) {
+			t.Fatalf("retired %s flag not refused: %v", flag, err)
+		}
 	}
-	if err := cmdVerify([]string{"-min-int8", "4.0", path}); err == nil {
-		t.Fatal("3.16x int8 speedup passed a 4x gate")
+	// Just under either fixed bar fails: float 1.95x, then int8 2.96x.
+	for _, tc := range []struct {
+		bench     string
+		perWindow float64
+	}{
+		{benchBatch16, 30000 / 1.95},
+		{benchInt8Batch16, 30000 / 2.96},
+	} {
+		g := File{Anchor: f.Anchor, Benchmarks: map[string]Result{}}
+		for name, r := range f.Benchmarks {
+			g.Benchmarks[name] = r
+		}
+		g.Benchmarks[tc.bench] = Result{NsPerOp: 16 * tc.perWindow, Metrics: map[string]float64{perWindowMetric: tc.perWindow}}
+		data, err := marshalIndent(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := cmdVerify([]string{path}); err == nil || !strings.Contains(err.Error(), tc.bench) {
+			t.Fatalf("%s just under its bar passed: %v", tc.bench, err)
+		}
 	}
 }
 

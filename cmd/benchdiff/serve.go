@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
 )
 
 // Serve-side benchmark gating (BENCH_serve.json).
@@ -13,14 +12,14 @@ import (
 // Where extract/compare/verify gate kernel benchmarks, serve-extract and
 // serve-verify gate the serving wire protocol: the committed BENCH_serve.json
 // holds one loadgen report per payload mode, and serve-verify enforces the
-// stream protocol's claim — at least -min-wire-compression times fewer uplink
-// bytes per classification than JSON windows mode, without giving up
-// accuracy. The reports must come from the same (users, requests, seed) grid
+// stream protocol's claim — at least minWireCompression times fewer uplink
+// bytes per classification than JSON windows mode, with an accuracy drop of
+// at most maxAccuracyDrop. The reports must come from the same (users, requests, seed) grid
 // so the two modes classified the same ground-truth timelines.
 
 const (
-	defaultMinWireCompression = 10.0
-	defaultMaxAccuracyDrop    = 0.05
+	minWireCompression = 10.0
+	maxAccuracyDrop    = 0.05
 )
 
 // serveReport is the slice of a loadgen report the gate reads. The full
@@ -91,24 +90,9 @@ func cmdServeExtract(args []string) error {
 // cmdServeVerify gates the stream protocol against the JSON windows
 // baseline recorded in the same file.
 func cmdServeVerify(args []string) error {
-	minWireStr, maxDropStr := "", ""
-	rest, err := parseFlags(args, map[string]*string{
-		"-min-wire-compression": &minWireStr, "-max-accuracy-drop": &maxDropStr,
-	})
+	rest, err := parseFlags(args, nil)
 	if err != nil {
 		return err
-	}
-	minWire := defaultMinWireCompression
-	if minWireStr != "" {
-		if minWire, err = strconv.ParseFloat(minWireStr, 64); err != nil {
-			return fmt.Errorf("bad -min-wire-compression: %w", err)
-		}
-	}
-	maxDrop := defaultMaxAccuracyDrop
-	if maxDropStr != "" {
-		if maxDrop, err = strconv.ParseFloat(maxDropStr, 64); err != nil {
-			return fmt.Errorf("bad -max-accuracy-drop: %w", err)
-		}
 	}
 	if len(rest) != 1 {
 		return fmt.Errorf("serve-verify needs exactly one file")
@@ -135,7 +119,7 @@ func cmdServeVerify(args []string) error {
 	}
 	compression := windows.UplinkBytesPerClassification / stream.UplinkBytesPerClassification
 	fmt.Printf("benchdiff: uplink windows=%.1fB stream=%.1fB compression=%.2fx (min %.2fx)\n",
-		windows.UplinkBytesPerClassification, stream.UplinkBytesPerClassification, compression, minWire)
+		windows.UplinkBytesPerClassification, stream.UplinkBytesPerClassification, compression, minWireCompression)
 	if windows.ParseNsPerClassification > 0 && stream.ParseNsPerClassification > 0 {
 		fmt.Printf("benchdiff: parse  windows=%.0fns stream=%.0fns speedup=%.2fx\n",
 			windows.ParseNsPerClassification, stream.ParseNsPerClassification,
@@ -143,12 +127,12 @@ func cmdServeVerify(args []string) error {
 	}
 	drop := windows.Accuracy - stream.Accuracy
 	fmt.Printf("benchdiff: accuracy windows=%.4f stream=%.4f drop=%+.4f (max %.4f)\n",
-		windows.Accuracy, stream.Accuracy, drop, maxDrop)
-	if compression < minWire {
-		return fmt.Errorf("stream compression %.2fx below required %.2fx", compression, minWire)
+		windows.Accuracy, stream.Accuracy, drop, maxAccuracyDrop)
+	if compression < minWireCompression {
+		return fmt.Errorf("stream compression %.2fx below required %.2fx", compression, minWireCompression)
 	}
-	if drop > maxDrop {
-		return fmt.Errorf("stream accuracy drop %.4f exceeds allowed %.4f", drop, maxDrop)
+	if drop > maxAccuracyDrop {
+		return fmt.Errorf("stream accuracy drop %.4f exceeds allowed %.4f", drop, maxAccuracyDrop)
 	}
 	return nil
 }

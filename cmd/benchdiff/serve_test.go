@@ -136,7 +136,7 @@ func TestServeVerifyGates(t *testing.T) {
 			name:    "raised bar fails a passing pair",
 			mutate:  func(w, s *serveReport) {},
 			flags:   []string{"-min-wire-compression", "20"},
-			errPart: "below required",
+			errPart: "unknown flag -min-wire-compression",
 		},
 	}
 	for _, tc := range cases {
@@ -151,12 +151,20 @@ func TestServeVerifyGates(t *testing.T) {
 		})
 	}
 
-	// Loosened accuracy bar accepts the drop the default rejects.
+	// The bars are fixed: a loosened accuracy bar is refused, and a pair
+	// at exactly 10x compression with a 0.04 drop passes.
 	windows, stream := baseServeReports()
 	stream.Accuracy = 0.80
 	path := mergeServe(t, t.TempDir(), windows, stream)
-	if err := cmdServeVerify([]string{"-max-accuracy-drop", "0.2", path}); err != nil {
-		t.Fatalf("loosened bar still rejected: %v", err)
+	if err := cmdServeVerify([]string{"-max-accuracy-drop", "0.2", path}); err == nil || !strings.Contains(err.Error(), "unknown flag -max-accuracy-drop") {
+		t.Fatalf("retired -max-accuracy-drop flag not refused: %v", err)
+	}
+	windows, stream = baseServeReports()
+	stream.UplinkBytesPerClassification = 750
+	stream.Accuracy = 0.86
+	path = mergeServe(t, t.TempDir(), windows, stream)
+	if err := cmdServeVerify([]string{path}); err != nil {
+		t.Fatalf("pair at the fixed bars rejected: %v", err)
 	}
 }
 

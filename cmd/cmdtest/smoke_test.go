@@ -117,6 +117,8 @@ func TestOriginServeBadFlags(t *testing.T) {
 		{"-batch-hold", "-1ms"},
 		{"-stream-idle-timeout", "-1s"},
 		{"-resume-cap", "0"},
+		// Retired chaos flags (connection chaos is the day scenario's now):
+		// old invocations must fail fast, not serve without faults.
 		{"-chaos-kill-rate", "1.5", "-stream-addr", ":0"},
 		{"-chaos-kill-rate", "0.5", "-chaos-kill-min-bytes", "0", "-stream-addr", ":0"},
 		{"-chaos-kill-rate", "0.5", "-chaos-kill-max-bytes", "1", "-stream-addr", ":0"},

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"origin/internal/experiments"
-	"origin/internal/fault"
 	"origin/internal/fleet"
 	"origin/internal/serve"
 )
@@ -54,10 +53,6 @@ func main() {
 		resumeTTL    = flag.Duration("resume-ttl", 2*time.Minute, "keep disconnected stream sessions resumable this long (negative disables resume)")
 		resumeCap    = flag.Int("resume-cap", 4096, "max parked stream sessions (oldest evicted beyond it)")
 		stateDir     = flag.String("state-dir", "", "externalize session state to this directory (shared by every replica behind an origin-router; empty keeps sessions replica-local)")
-		chaosSeed    = flag.Int64("chaos-seed", 1, "connection-chaos RNG seed (per-connection fault plans derive from it)")
-		chaosKill    = flag.Float64("chaos-kill-rate", 0, "fraction of stream connections to kill mid-stream (0 disables chaos; testing only)")
-		chaosKillMin = flag.Int("chaos-kill-min-bytes", 4096, "min uplink bytes a doomed connection survives")
-		chaosKillMax = flag.Int("chaos-kill-max-bytes", 16384, "max uplink bytes a doomed connection survives")
 	)
 	flag.Parse()
 	if *cache != "" {
@@ -101,16 +96,6 @@ func main() {
 	if *resumeCap <= 0 {
 		usageError("-resume-cap must be positive, got %d", *resumeCap)
 	}
-	chaos := fault.ConnChaos{
-		Seed: *chaosSeed, KillRate: *chaosKill,
-		KillMinBytes: *chaosKillMin, KillMaxBytes: *chaosKillMax,
-	}
-	if err := chaos.Validate(); err != nil {
-		usageError("%v", err)
-	}
-	if chaos.Enabled() && *streamAddr == "" {
-		usageError("-chaos-kill-rate needs a stream front (-stream-addr)")
-	}
 
 	// Externalized state: with a shared -state-dir, every classified round
 	// is snapshotted to disk and any replica pointed at the same directory
@@ -138,19 +123,11 @@ func main() {
 	})
 	for _, p := range warm {
 		log.Printf("building model for profile %s (first build trains; later runs load the cache)", p)
-		model, err := mgr.Registry().Get(p)
-		if err != nil {
+		// Under -quant this also compiles the int8 model, so the first
+		// session create does not pay for it and an inexpressible net fails
+		// at startup, not at request time.
+		if _, err := mgr.Model(p); err != nil {
 			log.Fatalf("origin-serve: build %s: %v", p, err)
-		}
-		if *quant {
-			// Compile the int8 twins during warm-up so the first session
-			// create does not pay for it — and so an inexpressible net fails
-			// at startup, not at request time.
-			if err := model.EnableInt8(); err != nil {
-				log.Fatalf("origin-serve: %v", err)
-			}
-			log.Printf("profile %s ready (int8)", p)
-			continue
 		}
 		log.Printf("profile %s ready", p)
 	}
@@ -169,18 +146,6 @@ func main() {
 		ln, err := net.Listen("tcp", *streamAddr)
 		if err != nil {
 			log.Fatalf("origin-serve: stream listen: %v", err)
-		}
-		if chaos.Enabled() {
-			// Deterministic connection-fault injection for chaos drills:
-			// wrap the accept path so every stream connection draws its
-			// fault plan from the seeded per-connection RNG.
-			cl, err := fault.NewChaosListener(ln, chaos)
-			if err != nil {
-				log.Fatalf("origin-serve: chaos listener: %v", err)
-			}
-			ln = cl
-			log.Printf("stream front chaos enabled: seed=%d kill-rate=%g kill-bytes=[%d,%d]",
-				chaos.Seed, chaos.KillRate, chaos.KillMinBytes, chaos.KillMaxBytes)
 		}
 		streamSrv = serve.NewStreamServer(serve.StreamConfig{
 			Manager: mgr, Metrics: metrics,

@@ -73,19 +73,6 @@ func Make(cfg Config) []dnn.Sample {
 	return samples
 }
 
-// MakeAllLocations synthesises one balanced sample set per sensor location,
-// indexed by synth.Location, using per-location derived seeds.
-func MakeAllLocations(cfg Config) [][]dnn.Sample {
-	out := make([][]dnn.Sample, synth.NumLocations)
-	for _, loc := range synth.Locations() {
-		c := cfg
-		c.Location = loc
-		c.Seed = cfg.Seed + int64(loc)*1000003
-		out[loc] = Make(c)
-	}
-	return out
-}
-
 // Split partitions samples into train and test sets with the given train
 // fraction, shuffling deterministically with seed. The split is stratified:
 // each class contributes the same fraction to both sides.

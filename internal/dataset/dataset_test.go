@@ -42,9 +42,9 @@ func TestMakeDeterministic(t *testing.T) {
 
 func TestMakeAllLocationsDiffer(t *testing.T) {
 	p := synth.MHEALTHProfile()
-	all := MakeAllLocations(Config{Profile: p, User: synth.NewUser(0), PerClass: 2, Seed: 3})
-	if len(all) != synth.NumLocations {
-		t.Fatalf("locations = %d", len(all))
+	all := make([][]dnn.Sample, synth.NumLocations)
+	for _, loc := range synth.Locations() {
+		all[loc] = Make(Config{Profile: p, User: synth.NewUser(0), Location: loc, PerClass: 2, Seed: 3 + int64(loc)*1000003})
 	}
 	// Same class, different locations should look different.
 	if all[synth.Chest][0].X.Equal(all[synth.LeftAnkle][0].X, 0.01) {

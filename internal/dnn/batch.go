@@ -150,84 +150,43 @@ func (l *Conv1D) ForwardBatch(x *tensor.Tensor, arena *Arena) *tensor.Tensor {
 	return out
 }
 
-// forwardBatchFusedReluPool is Conv1D.ForwardBatch with the following ReLU
-// and MaxPool1D folded into the bias/transpose scatter pass: instead of
-// materialising the (B, OutC, outW) activation and then rewriting it twice,
-// each pooled output is computed as max over its pool window of
-// relu(gemm + bias), straight from the GEMM result. Per element this is the
-// same arithmetic in the same order as the three separate layers — relu is
-// monotone and applied before the pool comparison exactly as the unfused
-// path does — so results remain bit-identical; only two full memory passes
-// over the batch disappear. Network.ForwardBatch applies it whenever the
-// layer sequence conv–relu–pool occurs (every HAR architecture).
-func (l *Conv1D) forwardBatchFusedReluPool(x *tensor.Tensor, arena *Arena, pool int) *tensor.Tensor {
+// forwardBatchFusedReluPool runs a stride-1, kernel-5 convolution and the
+// ReLU and pool-2 MaxPool1D after it (every served HAR stage) as one pass.
+// It computes the convolution directly from the input (no im2col
+// materialisation) with the same 4×2 register tiling as the blocked GEMM —
+// four output positions × two output channels, eight independent
+// accumulators, each summing taps in (channel, tap) ascending order, i.e.
+// exactly the im2col dot-product order — and applies bias, ReLU and pooling
+// as each L1-hot tile completes. Per element this is the arithmetic of the
+// three separate layers in the same order (relu is monotone and applied
+// before the pool comparison exactly as the unfused path does), so results
+// stay bit-identical; only two full memory passes over the batch disappear.
+// Network.ForwardBatch selects it only for that geometry.
+func (l *Conv1D) forwardBatchFusedReluPool(x *tensor.Tensor, arena *Arena) *tensor.Tensor {
 	if x.Dims() != 3 || x.Dim(1) != l.InC {
 		panic(fmt.Sprintf("dnn: %s ForwardBatch got input %v", l.Name(), x.Shape()))
 	}
 	batch, w := x.Dim(0), x.Dim(2)
-	if w < l.Kernel {
+	if w < 5 {
 		panic(fmt.Sprintf("dnn: %s input width %d smaller than kernel", l.Name(), w))
 	}
-	outW := (w-l.Kernel)/l.Stride + 1
-	pooledW := outW / pool
+	pooledW := (w - 4) / 2
 	if pooledW == 0 {
-		panic(fmt.Sprintf("dnn: fused pool input width %d smaller than pool", outW))
-	}
-	if l.Stride == 1 {
-		return l.forwardBatchDirectFusedReluPool(x, arena, pool, outW, pooledW)
-	}
-	// Strided fallback: unfused conv, then relu and pool in place — still
-	// element-for-element the arithmetic of the three separate layers.
-	full := l.ForwardBatch(x, arena)
-	fd := full.Data()
-	for i, v := range fd {
-		if !(v > 0) {
-			fd[i] = 0
-		}
+		panic(fmt.Sprintf("dnn: fused pool input width %d smaller than pool", w-4))
 	}
 	out := arena.Get(batch, l.OutC, pooledW)
-	od := out.Data()
-	rows := batch * l.OutC
-	for r := 0; r < rows; r++ {
-		src := fd[r*outW : (r+1)*outW]
-		dst := od[r*pooledW : (r+1)*pooledW]
-		poolRow(dst, src, pool)
-	}
-	return out
-}
-
-// forwardBatchDirectFusedReluPool is the stride-1 fast path of the fused
-// conv–relu–pool stage: it computes the convolution directly from the input
-// (no im2col materialisation) with the same 4×2 register tiling as the
-// blocked GEMM — four output positions × two output channels, eight
-// independent accumulators, each summing taps in (channel, tap) ascending
-// order, i.e. exactly the im2col dot-product order, so results stay
-// bit-identical. Bias, ReLU and pooling are applied as each L1-hot row
-// completes.
-func (l *Conv1D) forwardBatchDirectFusedReluPool(x *tensor.Tensor, arena *Arena, pool, outW, pooledW int) *tensor.Tensor {
-	batch, w := x.Dim(0), x.Dim(2)
-	out := arena.Get(batch, l.OutC, pooledW)
-	scratch := arena.Get(2, outW)
-	r0 := scratch.Data()[:outW]
-	r1 := scratch.Data()[outW:]
 	xd, od, wd, bd := x.Data(), out.Data(), l.W.Data(), l.B.Data()
-	ck := l.InC * l.Kernel
-	po := l.offsets(w)
-	// Conv columns past pool*pooledW are discarded by pooling — skip them.
-	usedW := pool * pooledW
-	// Tap-unrolled fast path for the kernel width the HAR nets use: constant
-	// indices let the compiler drop every bounds check in the inner body.
-	k5 := l.Kernel == 5
+	ck := l.InC * 5
+	// A conv column past 2*pooledW is discarded by pooling — skip it.
+	usedW := 2 * pooledW
 
 	for bi := 0; bi < batch; bi++ {
 		xoff := bi * l.InC * w
 		ooff := bi * l.OutC * pooledW
 		o := 0
 		for ; o+2 <= l.OutC; o += 2 {
-			// Re-slicing the weight rows to len(po) ties their length to the
-			// p-loop bound so the compiler drops the per-load bounds checks.
-			w0 := wd[(o+0)*ck : (o+1)*ck][:len(po)]
-			w1 := wd[(o+1)*ck : (o+2)*ck][:len(po)]
+			w0 := wd[(o+0)*ck : (o+1)*ck]
+			w1 := wd[(o+1)*ck : (o+2)*ck]
 			bv0, bv1 := bd[o], bd[o+1]
 			od0 := od[ooff+(o+0)*pooledW : ooff+(o+1)*pooledW]
 			od1 := od[ooff+(o+1)*pooledW : ooff+(o+2)*pooledW]
@@ -238,213 +197,110 @@ func (l *Conv1D) forwardBatchDirectFusedReluPool(x *tensor.Tensor, arena *Arena,
 				var s20, s21 float64
 				var s30, s31 float64
 				base := xoff + t
-				if k5 {
-					// Taps 0..4 within a channel, channels ascending — the
-					// same (c, kk) order as the generic loop, so every
-					// accumulator sums in the identical order.
-					for c := 0; c < l.InC; c++ {
-						cb := base + c*w
-						xc := xd[cb : cb+8 : cb+8]
-						cw := c * 5
-						wr0 := w0[cw : cw+5 : cw+5]
-						wr1 := w1[cw : cw+5 : cw+5]
+				// Taps 0..4 within a channel, channels ascending; constant
+				// indices let the compiler drop every bounds check.
+				for c := 0; c < l.InC; c++ {
+					cb := base + c*w
+					xc := xd[cb : cb+8 : cb+8]
+					cw := c * 5
+					wr0 := w0[cw : cw+5 : cw+5]
+					wr1 := w1[cw : cw+5 : cw+5]
 
-						wv0, wv1 := wr0[0], wr1[0]
-						x0, x1, x2, x3 := xc[0], xc[1], xc[2], xc[3]
-						s00 += x0 * wv0
-						s01 += x0 * wv1
-						s10 += x1 * wv0
-						s11 += x1 * wv1
-						s20 += x2 * wv0
-						s21 += x2 * wv1
-						s30 += x3 * wv0
-						s31 += x3 * wv1
+					wv0, wv1 := wr0[0], wr1[0]
+					x0, x1, x2, x3 := xc[0], xc[1], xc[2], xc[3]
+					s00 += x0 * wv0
+					s01 += x0 * wv1
+					s10 += x1 * wv0
+					s11 += x1 * wv1
+					s20 += x2 * wv0
+					s21 += x2 * wv1
+					s30 += x3 * wv0
+					s31 += x3 * wv1
 
-						wv0, wv1 = wr0[1], wr1[1]
-						x0, x1, x2, x3 = xc[1], xc[2], xc[3], xc[4]
-						s00 += x0 * wv0
-						s01 += x0 * wv1
-						s10 += x1 * wv0
-						s11 += x1 * wv1
-						s20 += x2 * wv0
-						s21 += x2 * wv1
-						s30 += x3 * wv0
-						s31 += x3 * wv1
+					wv0, wv1 = wr0[1], wr1[1]
+					x0, x1, x2, x3 = xc[1], xc[2], xc[3], xc[4]
+					s00 += x0 * wv0
+					s01 += x0 * wv1
+					s10 += x1 * wv0
+					s11 += x1 * wv1
+					s20 += x2 * wv0
+					s21 += x2 * wv1
+					s30 += x3 * wv0
+					s31 += x3 * wv1
 
-						wv0, wv1 = wr0[2], wr1[2]
-						x0, x1, x2, x3 = xc[2], xc[3], xc[4], xc[5]
-						s00 += x0 * wv0
-						s01 += x0 * wv1
-						s10 += x1 * wv0
-						s11 += x1 * wv1
-						s20 += x2 * wv0
-						s21 += x2 * wv1
-						s30 += x3 * wv0
-						s31 += x3 * wv1
+					wv0, wv1 = wr0[2], wr1[2]
+					x0, x1, x2, x3 = xc[2], xc[3], xc[4], xc[5]
+					s00 += x0 * wv0
+					s01 += x0 * wv1
+					s10 += x1 * wv0
+					s11 += x1 * wv1
+					s20 += x2 * wv0
+					s21 += x2 * wv1
+					s30 += x3 * wv0
+					s31 += x3 * wv1
 
-						wv0, wv1 = wr0[3], wr1[3]
-						x0, x1, x2, x3 = xc[3], xc[4], xc[5], xc[6]
-						s00 += x0 * wv0
-						s01 += x0 * wv1
-						s10 += x1 * wv0
-						s11 += x1 * wv1
-						s20 += x2 * wv0
-						s21 += x2 * wv1
-						s30 += x3 * wv0
-						s31 += x3 * wv1
+					wv0, wv1 = wr0[3], wr1[3]
+					x0, x1, x2, x3 = xc[3], xc[4], xc[5], xc[6]
+					s00 += x0 * wv0
+					s01 += x0 * wv1
+					s10 += x1 * wv0
+					s11 += x1 * wv1
+					s20 += x2 * wv0
+					s21 += x2 * wv1
+					s30 += x3 * wv0
+					s31 += x3 * wv1
 
-						wv0, wv1 = wr0[4], wr1[4]
-						x0, x1, x2, x3 = xc[4], xc[5], xc[6], xc[7]
-						s00 += x0 * wv0
-						s01 += x0 * wv1
-						s10 += x1 * wv0
-						s11 += x1 * wv1
-						s20 += x2 * wv0
-						s21 += x2 * wv1
-						s30 += x3 * wv0
-						s31 += x3 * wv1
-					}
-				} else {
-					p := 0
-					for ; p+2 <= len(po); p += 2 {
-						xo := base + po[p]
-						xr := xd[xo : xo+4 : xo+4]
-						wv0, wv1 := w0[p], w1[p]
-						x0, x1, x2, x3 := xr[0], xr[1], xr[2], xr[3]
-						s00 += x0 * wv0
-						s01 += x0 * wv1
-						s10 += x1 * wv0
-						s11 += x1 * wv1
-						s20 += x2 * wv0
-						s21 += x2 * wv1
-						s30 += x3 * wv0
-						s31 += x3 * wv1
-						xo = base + po[p+1]
-						xr = xd[xo : xo+4 : xo+4]
-						wv0, wv1 = w0[p+1], w1[p+1]
-						x0, x1, x2, x3 = xr[0], xr[1], xr[2], xr[3]
-						s00 += x0 * wv0
-						s01 += x0 * wv1
-						s10 += x1 * wv0
-						s11 += x1 * wv1
-						s20 += x2 * wv0
-						s21 += x2 * wv1
-						s30 += x3 * wv0
-						s31 += x3 * wv1
-					}
-					for ; p < len(po); p++ {
-						xo := base + po[p]
-						xr := xd[xo : xo+4 : xo+4]
-						wv0, wv1 := w0[p], w1[p]
-						x0, x1, x2, x3 := xr[0], xr[1], xr[2], xr[3]
-						s00 += x0 * wv0
-						s01 += x0 * wv1
-						s10 += x1 * wv0
-						s11 += x1 * wv1
-						s20 += x2 * wv0
-						s21 += x2 * wv1
-						s30 += x3 * wv0
-						s31 += x3 * wv1
-					}
+					wv0, wv1 = wr0[4], wr1[4]
+					x0, x1, x2, x3 = xc[4], xc[5], xc[6], xc[7]
+					s00 += x0 * wv0
+					s01 += x0 * wv1
+					s10 += x1 * wv0
+					s11 += x1 * wv1
+					s20 += x2 * wv0
+					s21 += x2 * wv1
+					s30 += x3 * wv0
+					s31 += x3 * wv1
 				}
-				if pool == 2 {
-					// Pool the 4-wide tile straight into the output: two
-					// adjacent columns per pooled position, compared with
-					// MaxPool1D's `>` in the same order.
-					v0, v2 := relu(s00+bv0), relu(s20+bv0)
-					if u := relu(s10 + bv0); u > v0 {
-						v0 = u
-					}
-					if u := relu(s30 + bv0); u > v2 {
-						v2 = u
-					}
-					od0[t/2], od0[t/2+1] = v0, v2
-					v1, v3 := relu(s01+bv1), relu(s21+bv1)
-					if u := relu(s11 + bv1); u > v1 {
-						v1 = u
-					}
-					if u := relu(s31 + bv1); u > v3 {
-						v3 = u
-					}
-					od1[t/2], od1[t/2+1] = v1, v3
-				} else {
-					r0[t+0], r0[t+1], r0[t+2], r0[t+3] = relu(s00+bv0), relu(s10+bv0), relu(s20+bv0), relu(s30+bv0)
-					r1[t+0], r1[t+1], r1[t+2], r1[t+3] = relu(s01+bv1), relu(s11+bv1), relu(s21+bv1), relu(s31+bv1)
-				}
+				// Pool the 4-wide tile straight into the output: two
+				// adjacent columns per pooled position.
+				od0[t/2], od0[t/2+1] = reluPool2(s00, s10, bv0), reluPool2(s20, s30, bv0)
+				od1[t/2], od1[t/2+1] = reluPool2(s01, s11, bv1), reluPool2(s21, s31, bv1)
 			}
-			if pool == 2 {
-				for ; t < usedW; t += 2 {
-					var s0, s1, s2, s3 float64
-					base := xoff + t
-					for p := 0; p < len(po); p++ {
-						xo := base + po[p]
-						xr := xd[xo : xo+2 : xo+2]
-						wv0, wv1 := w0[p], w1[p]
-						s0 += xr[0] * wv0
-						s1 += xr[0] * wv1
-						s2 += xr[1] * wv0
-						s3 += xr[1] * wv1
-					}
-					v0 := relu(s0 + bv0)
-					if u := relu(s2 + bv0); u > v0 {
-						v0 = u
-					}
-					od0[t/2] = v0
-					v1 := relu(s1 + bv1)
-					if u := relu(s3 + bv1); u > v1 {
-						v1 = u
-					}
-					od1[t/2] = v1
-				}
-				continue
+			// usedW is even, so at most one 2-wide pooled pair is left.
+			if t < usedW {
+				s0, s2 := conv5Pair(xd, w0, xoff+t, w)
+				s1, s3 := conv5Pair(xd, w1, xoff+t, w)
+				od0[t/2] = reluPool2(s0, s2, bv0)
+				od1[t/2] = reluPool2(s1, s3, bv1)
 			}
-			for ; t < usedW; t++ {
-				var s0, s1 float64
-				base := xoff + t
-				for p := 0; p < len(po); p++ {
-					xv := xd[base+po[p]]
-					s0 += xv * w0[p]
-					s1 += xv * w1[p]
-				}
-				r0[t] = relu(s0 + bv0)
-				r1[t] = relu(s1 + bv1)
-			}
-			poolRow(od0, r0, pool)
-			poolRow(od1, r1, pool)
 		}
-		for ; o < l.OutC; o++ {
-			w0 := wd[o*ck : (o+1)*ck][:len(po)]
-			bv := bd[o]
-			for t := 0; t < usedW; t++ {
-				var s float64
-				base := xoff + t
-				for p := 0; p < len(po); p++ {
-					s += xd[base+po[p]] * w0[p]
-				}
-				r0[t] = relu(s + bv)
+		if o < l.OutC {
+			// Odd OutC: the last channel runs one pooled pair at a time.
+			wr, bv := wd[o*ck:(o+1)*ck], bd[o]
+			dst := od[ooff+o*pooledW : ooff+(o+1)*pooledW]
+			for pt := range dst {
+				s0, s1 := conv5Pair(xd, wr, xoff+2*pt, w)
+				dst[pt] = reluPool2(s0, s1, bv)
 			}
-			poolRow(od[ooff+o*pooledW:ooff+(o+1)*pooledW], r0, pool)
 		}
 	}
 	return out
 }
 
-// offsets returns (cached per input width) the flat x offset of each
-// (channel, tap) pair: off[c*Kernel+kk] = c*w + kk. Index order is exactly
-// the im2col column order, which is what keeps the direct kernel's
-// accumulation order identical to the GEMM path's.
-func (l *Conv1D) offsets(w int) []int {
-	if l.offW == w && l.off != nil {
-		return l.off
-	}
-	off := make([]int, l.InC*l.Kernel)
-	for c := 0; c < l.InC; c++ {
-		for kk := 0; kk < l.Kernel; kk++ {
-			off[c*l.Kernel+kk] = c*w + kk
+// conv5Pair returns one output channel's stride-1 kernel-5 conv sums at
+// positions base and base+1 of a (channels, w) input laid out from base's
+// sample; wr holds the channel's (channels·5) weights. Taps are summed in
+// (channel, tap) ascending order, the order of the 4×2 tile.
+func conv5Pair(xd, wr []float64, base, w int) (s0, s1 float64) {
+	for c := 0; c < len(wr)/5; c++ {
+		cb := base + c*w
+		xc := xd[cb : cb+6 : cb+6]
+		for kk, wv := range wr[c*5 : c*5+5 : c*5+5] {
+			s0 += xc[kk] * wv
+			s1 += xc[kk+1] * wv
 		}
 	}
-	l.off, l.offW = off, w
-	return off
+	return s0, s1
 }
 
 // relu matches the single-window layer exactly: everything not strictly
@@ -456,18 +312,14 @@ func relu(v float64) float64 {
 	return v
 }
 
-// poolRow max-pools one activation row with MaxPool1D's comparison order.
-func poolRow(dst, src []float64, pool int) {
-	for pt := range dst {
-		base := pt * pool
-		best := src[base]
-		for i := 1; i < pool; i++ {
-			if src[base+i] > best {
-				best = src[base+i]
-			}
-		}
-		dst[pt] = best
+// reluPool2 is one pool-2 output: the larger of relu(a+bias) and
+// relu(b+bias), compared with MaxPool1D's `>` in the same order.
+func reluPool2(a, b, bias float64) float64 {
+	v := relu(a + bias)
+	if u := relu(b + bias); u > v {
+		v = u
 	}
+	return v
 }
 
 // ForwardBatch applies the dense layer to a (B, In) batch, producing
@@ -600,12 +452,14 @@ func (n *Network) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 	batch := x.Dim(0)
 	out := x
 	for i := 0; i < len(n.Layers); i++ {
-		// Peephole: conv–relu–pool (every HAR stage) runs as one fused pass.
-		if conv, ok := n.Layers[i].(*Conv1D); ok && i+2 < len(n.Layers) {
+		// Peephole: a stride-1 kernel-5 conv, ReLU, pool-2 stage (every
+		// served HAR stage) runs as one fused pass; any other geometry takes
+		// the bit-identical layer-by-layer path below.
+		if conv, ok := n.Layers[i].(*Conv1D); ok && conv.Stride == 1 && conv.Kernel == 5 && i+2 < len(n.Layers) {
 			_, isRelu := n.Layers[i+1].(*ReLU)
 			pool, isPool := n.Layers[i+2].(*MaxPool1D)
-			if isRelu && isPool {
-				out = conv.forwardBatchFusedReluPool(out, n.arena, pool.Pool)
+			if isRelu && isPool && pool.Pool == 2 {
+				out = conv.forwardBatchFusedReluPool(out, n.arena)
 				i += 2
 				continue
 			}

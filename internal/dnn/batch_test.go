@@ -1,6 +1,7 @@
 package dnn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -46,22 +47,57 @@ func randHARConfig(rng *rand.Rand) HARConfig {
 
 // prop: ForwardBatch equals batch-many independent Forward calls within
 // 1e-12 — and in fact bit for bit, which the serving determinism contract
-// relies on — across random architectures and batch sizes.
+// relies on — across random architectures and batch sizes. The fixed cases
+// pin both sides of the fused-stage selection: the served stride-1 k5/pool-2
+// geometry (including a pool tail and an odd channel count) and geometries
+// that take the layer-by-layer path (kernel 3, stride 2).
 func TestForwardBatchMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 12; trial++ {
+	type trial struct {
+		name string
+		net  *Network
+	}
+	var trials []trial
+	for i := 0; i < 12; i++ {
 		cfg := randHARConfig(rng)
-		var net *Network
-		if trial%3 == 2 {
-			net = NewShallowHARNetwork(rng, cfg)
+		if i%3 == 2 {
+			trials = append(trials, trial{fmt.Sprintf("random-shallow-%d", i), NewShallowHARNetwork(rng, cfg)})
 		} else {
-			net = NewHARNetwork(rng, cfg)
+			trials = append(trials, trial{fmt.Sprintf("random-%d", i), NewHARNetwork(rng, cfg)})
+		}
+	}
+	// Window 64: conv2's 26 columns leave a 2-column pool tail after the
+	// 4-wide tiles.
+	served := DefaultHARConfig(6, 64, 5)
+	oddShallow := served
+	oddShallow.Conv1Out = 5
+	k3 := served
+	k3.Kernel = 3
+	strideConv := NewConv1D(rng, 3, 4, 5, 2)
+	strideOut := strideConv.OutShape([]int{3, 40})
+	pool := NewMaxPool1D(2)
+	poolOut := pool.OutShape(strideOut)
+	trials = append(trials,
+		trial{"served-k5-pool2-tail", NewHARNetwork(rng, served)},
+		trial{"shallow-k5-odd-outc", NewShallowHARNetwork(rng, oddShallow)},
+		trial{"unfused-k3", NewHARNetwork(rng, k3)},
+		trial{"unfused-stride2", NewNetwork([]int{3, 40},
+			strideConv, NewReLU(), pool, NewFlatten(),
+			NewDense(rng, poolOut[0]*poolOut[1], 4))},
+	)
+	for _, tr := range trials {
+		net := tr.net
+		// Non-zero biases make the bias/ReLU order observable.
+		for _, l := range net.Layers {
+			if p := l.Params(); len(p) == 2 {
+				p[1].RandNormal(rng, 0, 1)
+			}
 		}
 		batch := rng.Intn(17) + 1
 		x := randBatch(rng, batch, net.InShape)
-		got := net.ForwardBatch(x)
+		got := net.ForwardBatch(x.Clone())
 		if got.Dim(0) != batch || got.Dim(1) != net.Classes {
-			t.Fatalf("trial %d: ForwardBatch shape %v, want (%d, %d)", trial, got.Shape(), batch, net.Classes)
+			t.Fatalf("%s: ForwardBatch shape %v, want (%d, %d)", tr.name, got.Shape(), batch, net.Classes)
 		}
 		for bi := 0; bi < batch; bi++ {
 			want := net.Forward(batchSlice(x, bi, net.InShape))
@@ -69,10 +105,10 @@ func TestForwardBatchMatchesForward(t *testing.T) {
 			for j := 0; j < net.Classes; j++ {
 				g, w := row.At(j), want.At(j)
 				if math.Abs(g-w) > 1e-12 {
-					t.Fatalf("trial %d sample %d logit %d: batch %v vs single %v", trial, bi, j, g, w)
+					t.Fatalf("%s sample %d logit %d: batch %v vs single %v", tr.name, bi, j, g, w)
 				}
 				if math.Float64bits(g) != math.Float64bits(w) {
-					t.Fatalf("trial %d sample %d logit %d: batch %v not bit-identical to single %v", trial, bi, j, g, w)
+					t.Fatalf("%s sample %d logit %d: batch %v not bit-identical to single %v", tr.name, bi, j, g, w)
 				}
 			}
 		}

@@ -62,11 +62,6 @@ type Conv1D struct {
 
 	lastCols *tensor.Tensor // cached im2col of the last input
 	lastInW  int
-
-	// Flat x offsets of each (channel, tap) pair for the direct (no-im2col)
-	// batched kernel, cached per input width: off[c*Kernel+kk] = c*w + kk.
-	off  []int
-	offW int
 }
 
 // NewConv1D builds a He-initialised convolution layer.

@@ -3,7 +3,6 @@ package dnn
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"origin/internal/tensor"
 )
@@ -177,19 +176,6 @@ func cloneLayer(l Layer) Layer {
 	default:
 		panic(fmt.Sprintf("dnn: cannot clone unknown layer type %T", l))
 	}
-}
-
-// Summary returns a multi-line human-readable description of the network.
-func (n *Network) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "input %v\n", n.InShape)
-	shape := append([]int(nil), n.InShape...)
-	for _, l := range n.Layers {
-		shape = l.OutShape(shape)
-		fmt.Fprintf(&b, "  %-24s → %v\n", l.Name(), shape)
-	}
-	fmt.Fprintf(&b, "params=%d nonzero=%d", n.ParamCount(), n.NonZeroParamCount())
-	return b.String()
 }
 
 // HARConfig describes the small per-sensor CNN used throughout the

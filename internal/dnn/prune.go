@@ -89,15 +89,6 @@ func PruneToBudget(n *Network, budgetMACs int) PruneResult {
 	return res
 }
 
-// PruneToFraction prunes so that at most frac (0..1] of the original MACs
-// remain. It returns the result summary.
-func PruneToFraction(n *Network, frac float64) PruneResult {
-	if frac <= 0 || frac > 1 {
-		panic(fmt.Sprintf("dnn: invalid prune fraction %v", frac))
-	}
-	return PruneToBudget(n, int(math.Ceil(float64(n.MACs())*frac)))
-}
-
 func weightTensors(n *Network) []*tensor.Tensor {
 	var ws []*tensor.Tensor
 	for _, p := range n.Params() {

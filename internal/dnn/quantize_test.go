@@ -65,7 +65,7 @@ func TestQuantizeAccuracyDegradesGracefully(t *testing.T) {
 
 func TestQuantizePreservesPruningSparsity(t *testing.T) {
 	n := buildTinyNet(t)
-	PruneToFraction(n, 0.5)
+	PruneToBudget(n, int(math.Ceil(float64(n.MACs())*0.5)))
 	before := n.NonZeroParamCount()
 	Quantize(n, 8)
 	if got := n.NonZeroParamCount(); got > before {

@@ -60,14 +60,9 @@ func DefaultTrainConfig() TrainConfig {
 	}
 }
 
-// CrossEntropyLoss returns the negative log-likelihood of the true label
-// under softmax(logits), along with dL/d(logits) = p − onehot(label).
-func CrossEntropyLoss(logits *tensor.Tensor, label int) (loss float64, grad *tensor.Tensor) {
-	return SmoothedCrossEntropyLoss(logits, label, 0)
-}
-
-// SmoothedCrossEntropyLoss is CrossEntropyLoss against a label-smoothed
-// target q = (1−ε)·onehot + ε/classes; the gradient is p − q.
+// SmoothedCrossEntropyLoss returns the negative log-likelihood of a
+// label-smoothed target q = (1−ε)·onehot + ε/classes under softmax(logits),
+// along with dL/d(logits) = p − q. ε = 0 is plain cross-entropy.
 func SmoothedCrossEntropyLoss(logits *tensor.Tensor, label int, epsilon float64) (loss float64, grad *tensor.Tensor) {
 	p := tensor.Softmax(logits)
 	classes := p.Len()
@@ -201,136 +196,4 @@ func EvaluatePerClass(n *Network, samples []Sample, classes int) (perClass []flo
 		overall = float64(allCorrect) / float64(len(samples))
 	}
 	return perClass, overall
-}
-
-// TrainWithValidation runs Train epoch by epoch while tracking accuracy on
-// a held-out validation set, keeping the best weights seen and stopping
-// early after patience epochs without improvement. It returns the restored
-// best validation accuracy and the number of epochs actually run.
-//
-// cfg.Epochs bounds the total; patience <= 0 disables early stopping (the
-// best weights are still restored at the end).
-func TrainWithValidation(n *Network, train, val []Sample, cfg TrainConfig, patience int) (bestAcc float64, epochs int) {
-	if len(val) == 0 {
-		panic("dnn: TrainWithValidation requires a validation set")
-	}
-	per := cfg
-	per.Epochs = 1
-	bestAcc = -1
-	var best []*tensor.Tensor
-	since := 0
-	for e := 0; e < cfg.Epochs; e++ {
-		per.Seed = cfg.Seed + int64(e)
-		Train(n, train, per)
-		per.LearningRate *= cfg.LRDecay
-		epochs++
-		acc := Evaluate(n, val)
-		if acc > bestAcc {
-			bestAcc = acc
-			since = 0
-			best = snapshotParams(n)
-		} else {
-			since++
-			if patience > 0 && since >= patience {
-				break
-			}
-		}
-	}
-	if best != nil {
-		restoreParams(n, best)
-	}
-	return bestAcc, epochs
-}
-
-func snapshotParams(n *Network) []*tensor.Tensor {
-	ps := n.Params()
-	out := make([]*tensor.Tensor, len(ps))
-	for i, p := range ps {
-		out[i] = p.Clone()
-	}
-	return out
-}
-
-func restoreParams(n *Network, snap []*tensor.Tensor) {
-	for i, p := range n.Params() {
-		p.CopyFrom(snap[i])
-	}
-}
-
-// ConfusionCounts returns the (classes × classes) confusion counts of the
-// network on samples: rows are true labels, columns predictions. It stays
-// in plain ints so internal/metrics (which has richer accessors) and other
-// consumers can wrap it without a dependency from dnn upward.
-func ConfusionCounts(n *Network, samples []Sample, classes int) [][]int {
-	counts := make([][]int, classes)
-	for i := range counts {
-		counts[i] = make([]int, classes)
-	}
-	for _, s := range samples {
-		c, _ := n.Predict(s.X)
-		if s.Label >= 0 && s.Label < classes && c >= 0 && c < classes {
-			counts[s.Label][c]++
-		}
-	}
-	return counts
-}
-
-// CalibrationReport quantifies how well the softmax confidence tracks
-// correctness — the property the Origin confidence matrix depends on
-// (§III-C). Predictions are bucketed by their top-1 probability into bins
-// equal-width over [1/classes, 1].
-type CalibrationReport struct {
-	// ECE is the expected calibration error: the prediction-weighted mean
-	// |confidence − accuracy| over the bins.
-	ECE float64
-	// BinConfidence, BinAccuracy and BinCount describe each bin.
-	BinConfidence, BinAccuracy []float64
-	BinCount                   []int
-}
-
-// Calibrate evaluates the network's calibration over samples with the given
-// number of bins.
-func Calibrate(n *Network, samples []Sample, bins int) CalibrationReport {
-	if bins <= 0 {
-		panic(fmt.Sprintf("dnn: invalid bin count %d", bins))
-	}
-	rep := CalibrationReport{
-		BinConfidence: make([]float64, bins),
-		BinAccuracy:   make([]float64, bins),
-		BinCount:      make([]int, bins),
-	}
-	if len(samples) == 0 {
-		return rep
-	}
-	lo := 1.0 / float64(n.Classes)
-	width := (1 - lo) / float64(bins)
-	sumConf := make([]float64, bins)
-	sumAcc := make([]float64, bins)
-	for _, s := range samples {
-		pred, probs := n.Predict(s.X)
-		top := probs.At(pred)
-		b := int((top - lo) / width)
-		if b < 0 {
-			b = 0
-		}
-		if b >= bins {
-			b = bins - 1
-		}
-		rep.BinCount[b]++
-		sumConf[b] += top
-		if pred == s.Label {
-			sumAcc[b]++
-		}
-	}
-	total := float64(len(samples))
-	for b := 0; b < bins; b++ {
-		if rep.BinCount[b] == 0 {
-			continue
-		}
-		cnt := float64(rep.BinCount[b])
-		rep.BinConfidence[b] = sumConf[b] / cnt
-		rep.BinAccuracy[b] = sumAcc[b] / cnt
-		rep.ECE += cnt / total * math.Abs(rep.BinConfidence[b]-rep.BinAccuracy[b])
-	}
-	return rep
 }

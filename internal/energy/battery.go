@@ -33,9 +33,6 @@ func (b *Battery) Stored() float64 { return b.stored }
 // Drawn returns the cumulative energy supplied to loads.
 func (b *Battery) Drawn() float64 { return b.drawn }
 
-// Fraction returns the state of charge in [0, 1].
-func (b *Battery) Fraction() float64 { return b.stored / b.CapacityJ }
-
 // Tick applies self-discharge over dt seconds.
 func (b *Battery) Tick(dt float64) {
 	if dt <= 0 || b.SelfDischargeW <= 0 {

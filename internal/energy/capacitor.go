@@ -118,15 +118,3 @@ func (c *Capacitor) Drain() float64 {
 func (c *Capacitor) Stats() (harvested, consumed, wastedSaturation float64) {
 	return c.harvested, c.consumed, c.wastedSat
 }
-
-// Reset restores the store to initialJ and clears telemetry.
-func (c *Capacitor) Reset(initialJ float64) {
-	if initialJ < 0 {
-		initialJ = 0
-	}
-	if initialJ > c.CapacityJ {
-		initialJ = c.CapacityJ
-	}
-	c.stored = initialJ
-	c.harvested, c.consumed, c.wastedSat = 0, 0, 0
-}

@@ -17,8 +17,8 @@ func TestGenerateWiFiTraceBasics(t *testing.T) {
 	if tr.Len() != 30000 {
 		t.Fatalf("trace length = %d, want 30000", tr.Len())
 	}
-	if math.Abs(tr.Duration()-300) > 1e-9 {
-		t.Fatalf("duration = %v, want 300", tr.Duration())
+	if d := float64(tr.Len()) * tr.Tick; math.Abs(d-300) > 1e-9 {
+		t.Fatalf("duration = %v, want 300", d)
 	}
 	for i, p := range tr.Power {
 		if p < 0 || math.IsNaN(p) {
@@ -80,19 +80,6 @@ func TestTraceAtWrapsAround(t *testing.T) {
 	tr := &Trace{Tick: 0.01, Power: []float64{1, 2, 3}}
 	if tr.At(3) != 1 || tr.At(4) != 2 || tr.At(700) != tr.At(700%3) {
 		t.Fatal("At should replay cyclically")
-	}
-}
-
-func TestEnergyBetween(t *testing.T) {
-	tr := &Trace{Tick: 0.5, Power: []float64{2, 4, 6}}
-	got := tr.EnergyBetween(0, 3)
-	if math.Abs(got-6) > 1e-12 { // (2+4+6)*0.5
-		t.Fatalf("EnergyBetween = %v, want 6", got)
-	}
-	// Wrapping integration.
-	got = tr.EnergyBetween(2, 5)
-	if math.Abs(got-(6+2+4)*0.5) > 1e-12 {
-		t.Fatalf("wrapped EnergyBetween = %v", got)
 	}
 }
 
@@ -225,19 +212,6 @@ func TestCapacitorNegativeDrawPanics(t *testing.T) {
 	c.Draw(-1)
 }
 
-func TestCapacitorReset(t *testing.T) {
-	c := NewCapacitor(100e-6, 0, 0, 50e-6)
-	c.Draw(20e-6)
-	c.Reset(10e-6)
-	if c.Stored() != 10e-6 {
-		t.Fatalf("stored after reset = %v", c.Stored())
-	}
-	h, used, w := c.Stats()
-	if h != 0 || used != 0 || w != 0 {
-		t.Fatal("reset should clear telemetry")
-	}
-}
-
 // prop: energy conservation — stored + consumed + wasted == harvested +
 // initial − leaked, within float tolerance, for any random
 // harvest/draw sequence.
@@ -301,7 +275,7 @@ func TestReadCSVNeverPanicsQuick(t *testing.T) {
 
 func TestBatteryBasics(t *testing.T) {
 	b := NewBattery(10, 1e-3)
-	if b.Fraction() != 1 {
+	if b.Stored() != b.CapacityJ {
 		t.Fatal("new battery should be full")
 	}
 	// Power-limited: 1 mW over 10 ms delivers at most 10 µJ.

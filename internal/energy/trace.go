@@ -35,9 +35,6 @@ type Trace struct {
 // Len returns the number of ticks.
 func (t *Trace) Len() int { return len(t.Power) }
 
-// Duration returns the trace length in seconds.
-func (t *Trace) Duration() float64 { return float64(len(t.Power)) * t.Tick }
-
 // At returns the power at tick i, wrapping around so that traces can be
 // replayed cyclically over simulations longer than the recording.
 func (t *Trace) At(i int) float64 {
@@ -68,16 +65,6 @@ func (t *Trace) Peak() float64 {
 		}
 	}
 	return m
-}
-
-// EnergyBetween integrates power over ticks [from, to) in joules,
-// replaying cyclically.
-func (t *Trace) EnergyBetween(from, to int) float64 {
-	e := 0.0
-	for i := from; i < to; i++ {
-		e += t.At(i) * t.Tick
-	}
-	return e
 }
 
 // Scale returns a copy of the trace with all powers multiplied by k.

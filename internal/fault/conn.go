@@ -64,12 +64,6 @@ type ConnChaos struct {
 // frame hurts the most.
 const chaosPartialWindow = 4
 
-// Enabled reports whether any connection fault has a non-zero rate.
-func (c *ConnChaos) Enabled() bool {
-	return c != nil && (c.KillRate > 0 || c.PartialWriteRate > 0 ||
-		c.SlowReadRate > 0 || c.AcceptDelayRate > 0)
-}
-
 // Validate reports the first invalid parameter, or nil. Unlike the per-slot
 // node rates, connection rates may be exactly 1: "kill every connection" is
 // the standard chaos drill.

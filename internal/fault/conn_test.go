@@ -29,19 +29,6 @@ func TestConnChaosValidate(t *testing.T) {
 	}
 }
 
-func TestConnChaosEnabled(t *testing.T) {
-	if (&ConnChaos{}).Enabled() {
-		t.Fatal("zero config reports enabled")
-	}
-	if !(&ConnChaos{KillRate: 0.5}).Enabled() {
-		t.Fatal("kill-rate config reports disabled")
-	}
-	var nilCfg *ConnChaos
-	if nilCfg.Enabled() {
-		t.Fatal("nil config reports enabled")
-	}
-}
-
 // chaosPair dials one connection through a chaos listener and returns both
 // ends plus the listener.
 func chaosPair(t *testing.T, cfg ConnChaos) (server, client net.Conn, lis *ChaosListener) {

@@ -97,11 +97,6 @@ type Events struct {
 	Reboot bool
 }
 
-// Any reports whether at least one fault fired.
-func (e Events) Any() bool {
-	return e.Brownout || e.StallSlots > 0 || e.Death || e.Reboot
-}
-
 // Injector draws the deterministic per-node fault schedule. One injector
 // serves one run; call Slot exactly once per scheduler slot, in order.
 type Injector struct {
@@ -129,9 +124,6 @@ func NewInjector(cfg Config, nodes int) (*Injector, error) {
 	}
 	return in, nil
 }
-
-// Nodes returns the number of nodes the injector covers.
-func (in *Injector) Nodes() int { return len(in.rngs) }
 
 // Slot draws the fault events for every node at the next slot. The
 // returned slice is reused across calls; copy it to retain. Each node

@@ -48,15 +48,6 @@ type directScorer struct {
 
 func (d directScorer) scoreWindows(sensors []int, windows []*tensor.Tensor) []windowScore {
 	out := make([]windowScore, len(sensors))
-	if d.m.Int8() {
-		qnets := d.m.acquireQNets()
-		defer d.m.releaseQNets(qnets)
-		for i, w := range windows {
-			class, probs := qnets[sensors[i]].Predict(w)
-			out[i] = windowScore{class: class, conf: probs.Variance()}
-		}
-		return out
-	}
 	nets := d.m.acquireNets()
 	defer d.m.releaseNets(nets)
 	for i, w := range windows {
@@ -177,21 +168,12 @@ func (b *sensorBatcher) flush(pending []scoreJob) {
 		b.scores = make([]windowScore, n)
 	}
 	scores := b.scores[:n]
-	if b.model.Int8() {
-		qnets := b.model.acquireQNets()
-		classes, probs := qnets[b.sensor].PredictBatch(input)
-		for i := range pending {
-			scores[i] = windowScore{class: classes[i], conf: probs.Row(i).Variance()}
-		}
-		b.model.releaseQNets(qnets)
-	} else {
-		nets := b.model.acquireNets()
-		classes, probs := nets[b.sensor].PredictBatch(input)
-		for i := range pending {
-			scores[i] = windowScore{class: classes[i], conf: probs.Row(i).Variance()}
-		}
-		b.model.releaseNets(nets)
+	nets := b.model.acquireNets()
+	classes, probs := nets[b.sensor].PredictBatch(input)
+	for i := range pending {
+		scores[i] = windowScore{class: classes[i], conf: probs.Row(i).Variance()}
 	}
+	b.model.releaseNets(nets)
 	for i, j := range pending {
 		j.reply <- scoredJob{idx: j.idx, score: scores[i]}
 	}

@@ -150,13 +150,15 @@ func TestBatchedAndUnbatchedManagersAgree(t *testing.T) {
 // quantized batched manager and a quantized unbatched manager given
 // identical concurrent window streams return identical classifications
 // (int8 batched and single-window scoring are bit-identical per window),
-// and Config.Quantized actually engages the int8 path.
+// and Config.Quantized actually engages the int8 path: every session is
+// served by the manager's int8 model, never by the registry's float one.
 func TestQuantizedManagersAgree(t *testing.T) {
 	const users, rounds = 4, 8
 
 	run := func(batchSize int, hold time.Duration) [][]int {
+		reg := fleettest.NewRegistry()
 		mgr := fleet.NewManager(fleet.Config{
-			Registry:   fleettest.NewRegistry(),
+			Registry:   reg,
 			QueueDepth: 64,
 			Workers:    8,
 			BatchSize:  batchSize,
@@ -164,6 +166,17 @@ func TestQuantizedManagersAgree(t *testing.T) {
 			Quantized:  true,
 		})
 		defer mgr.Close()
+		float, err := reg.Get("MHEALTH")
+		if err != nil {
+			t.Fatal(err)
+		}
+		int8Model, err := mgr.Model("MHEALTH")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int8Model == float {
+			t.Fatal("Quantized manager serves the registry's float model")
+		}
 
 		ids := make([]string, users)
 		for i := range ids {
@@ -171,8 +184,8 @@ func TestQuantizedManagersAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("create %d: %v", i, err)
 			}
-			if !s.Model().Int8() {
-				t.Fatal("Quantized manager created a session without the int8 path enabled")
+			if s.Model() != int8Model {
+				t.Fatalf("session %d is not served by the manager's int8 model", i)
 			}
 			ids[i] = s.ID()
 		}

@@ -55,11 +55,12 @@ type Config struct {
 	// idle server pays no added latency, so p99 does not regress.
 	BatchHold time.Duration
 	// Quantized routes window scoring through the int8 inference hot path:
-	// each model's nets are compiled to integer stages the first time a
-	// session is created on it (Create fails if a net cannot be expressed in
-	// integer stages). Batched and single int8 scoring remain bit-identical
-	// per window; int8 vs float accuracy parity is gated separately (see
-	// internal/experiments and the dnn parity tests).
+	// sessions are served by the int8 form of each profile's model, compiled
+	// from the float nets the first time the manager needs it (Create fails
+	// if a net cannot be expressed in integer stages). Batched and single
+	// int8 scoring remain bit-identical per window; int8 vs float accuracy
+	// parity is gated separately (see internal/experiments and the dnn
+	// parity tests).
 	Quantized bool
 	// Now is the eviction clock (default time.Now; injectable for tests).
 	Now func() time.Time
@@ -285,14 +286,9 @@ func (m *Manager) createSession(id, profile string, user int64, o Opts) (*Sessio
 	if m.shutdown.Load() {
 		return nil, ErrShutdown
 	}
-	model, err := m.reg.Get(profile)
+	model, err := m.Model(profile)
 	if err != nil {
 		return nil, err
-	}
-	if m.cfg.Quantized {
-		if err := model.EnableInt8(); err != nil {
-			return nil, err
-		}
 	}
 	s, err := NewSession(id, user, model, o)
 	if err != nil {
@@ -393,14 +389,9 @@ func (m *Manager) restore(blob []byte) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := m.reg.Get(st.Profile)
+	model, err := m.Model(st.Profile)
 	if err != nil {
 		return nil, err
-	}
-	if m.cfg.Quantized {
-		if err := model.EnableInt8(); err != nil {
-			return nil, err
-		}
 	}
 	s, err := newSessionFromState(st, model)
 	if err != nil {
@@ -593,6 +584,16 @@ func (m *Manager) Classify(ctx context.Context, id string, inputs []SensorInput)
 
 // Registry exposes the model registry (e.g. for warm-up at startup).
 func (m *Manager) Registry() *Registry { return m.reg }
+
+// Model returns the model this manager serves for a profile: the
+// registry's model, or its int8 form when Config.Quantized is set. The
+// first call builds (and compiles) it, so a warm-up can call it at startup.
+func (m *Manager) Model(profile string) (*Model, error) {
+	if m.cfg.Quantized {
+		return m.reg.getInt8(profile)
+	}
+	return m.reg.Get(profile)
+}
 
 // Snapshot returns the serving counters and gauges.
 func (m *Manager) Snapshot() MetricsSnapshot {

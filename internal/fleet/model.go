@@ -24,7 +24,7 @@
 //     users or back into the registry.
 //   - The shared DNNs are stateful during a forward pass (layers cache
 //     activations — see dnn.Layer), so inference never runs on the
-//     registry's own nets: each Model keeps a pool of cloned net sets and
+//     registry's own nets: each Model keeps one pool of cloned net sets and
 //     classification borrows a set for the duration of one request.
 //   - A Session serialises its own requests with a mutex; its
 //     classification sequence depends only on the order of its own
@@ -35,18 +35,20 @@ package fleet
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"origin/internal/dnn"
 	"origin/internal/ensemble"
 	"origin/internal/experiments"
 	"origin/internal/synth"
+	"origin/internal/tensor"
 )
 
 // Model is the immutable, shareable half of a deployment: one trained
 // System plus a pool of cloned net sets for concurrent inference. All
-// fields are read-only after NewModel; every mutable artefact a session
-// needs is cloned out of it.
+// fields are read-only after construction; every mutable artefact a session
+// needs is cloned out of it. A model serves exactly one precision, fixed
+// when it is built: NewModel serves the float nets, and the registry
+// compiles a second model serving their int8 form (Config.Quantized).
 type Model struct {
 	// Name is the profile name the model was built for.
 	Name string
@@ -56,25 +58,57 @@ type Model struct {
 	// Window is the per-sensor IMU window length (samples) the nets expect.
 	Window int
 
-	nets sync.Pool // of []*dnn.Network — B2 clones for concurrent Predict
-
-	// Int8 serving path (opt-in via Config.Quantized / EnableInt8): the
-	// per-location nets compiled to integer stages once, then cloned per
-	// borrow — a clone shares the frozen int8 weights and owns only scratch.
-	qonce sync.Once
-	qerr  error
-	qon   atomic.Bool
-	qnets sync.Pool // of []*dnn.QuantizedNetwork
+	nets sync.Pool // of []predictor — one clone per sensor, per borrow
 }
 
-// NewModel wraps a trained System for serving. The System must not be
-// mutated afterwards.
+// predictor is the inference surface the scorers use. *dnn.Network and
+// *dnn.QuantizedNetwork both implement it.
+type predictor interface {
+	Predict(x *tensor.Tensor) (class int, probs *tensor.Tensor)
+	PredictBatch(x *tensor.Tensor) (classes []int, probs *tensor.Tensor)
+}
+
+// NewModel wraps a trained System for float serving. The System must not
+// be mutated afterwards.
 func NewModel(name string, sys *experiments.System) *Model {
 	if sys == nil {
 		panic("fleet: NewModel requires a System")
 	}
+	return newModel(name, sys, func() []predictor {
+		nets := sys.CloneNetsB2()
+		set := make([]predictor, len(nets))
+		for i, n := range nets {
+			set[i] = n
+		}
+		return set
+	})
+}
+
+// newInt8Model compiles every per-location net of m to integer stages and
+// returns a model serving the same System through them. A pooled clone
+// shares the frozen int8 weights and owns only per-borrow scratch, so a
+// borrow is cheap.
+func newInt8Model(m *Model) (*Model, error) {
+	qs := make([]*dnn.QuantizedNetwork, len(m.System.NetsB2))
+	for i, n := range m.System.NetsB2 {
+		q, err := dnn.NewQuantizedNetwork(n)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: int8 compile of sensor %d net: %w", i, err)
+		}
+		qs[i] = q
+	}
+	return newModel(m.Name, m.System, func() []predictor {
+		set := make([]predictor, len(qs))
+		for i, q := range qs {
+			set[i] = q.Clone()
+		}
+		return set
+	}), nil
+}
+
+func newModel(name string, sys *experiments.System, cloneNets func() []predictor) *Model {
 	m := &Model{Name: name, System: sys, Window: experiments.Window}
-	m.nets.New = func() any { return sys.CloneNetsB2() }
+	m.nets.New = func() any { return cloneNets() }
 	return m
 }
 
@@ -99,48 +133,9 @@ func (m *Model) NewMatrix() *ensemble.Matrix { return m.System.Matrix.Clone() }
 // acquireNets borrows a cloned net set for one inference; return it with
 // releaseNets. The registry's own nets never run Forward (layers cache
 // activations and are not safe for concurrent use).
-func (m *Model) acquireNets() []*dnn.Network { return m.nets.Get().([]*dnn.Network) }
+func (m *Model) acquireNets() []predictor { return m.nets.Get().([]predictor) }
 
-func (m *Model) releaseNets(nets []*dnn.Network) { m.nets.Put(nets) }
-
-// EnableInt8 compiles the int8 twin of every per-location net and switches
-// the model's scorers onto the quantized hot path. Compilation happens once
-// per model (idempotent, concurrency-safe); the first error is sticky so a
-// model that cannot be expressed in integer stages never half-enables.
-func (m *Model) EnableInt8() error {
-	m.qonce.Do(func() {
-		qs := make([]*dnn.QuantizedNetwork, len(m.System.NetsB2))
-		for i, n := range m.System.NetsB2 {
-			q, err := dnn.NewQuantizedNetwork(n)
-			if err != nil {
-				m.qerr = fmt.Errorf("fleet: int8 compile of sensor %d net: %w", i, err)
-				return
-			}
-			qs[i] = q
-		}
-		m.qnets.New = func() any {
-			c := make([]*dnn.QuantizedNetwork, len(qs))
-			for i, q := range qs {
-				c[i] = q.Clone()
-			}
-			return c
-		}
-		m.qon.Store(true)
-	})
-	return m.qerr
-}
-
-// Int8 reports whether the int8 inference path is enabled for this model.
-func (m *Model) Int8() bool { return m.qon.Load() }
-
-// acquireQNets borrows a cloned int8 net set; only valid after a successful
-// EnableInt8. Clones share the frozen weights and own only per-borrow
-// scratch, so a borrow is cheap and safe for concurrent use.
-func (m *Model) acquireQNets() []*dnn.QuantizedNetwork {
-	return m.qnets.Get().([]*dnn.QuantizedNetwork)
-}
-
-func (m *Model) releaseQNets(nets []*dnn.QuantizedNetwork) { m.qnets.Put(nets) }
+func (m *Model) releaseNets(nets []predictor) { m.nets.Put(nets) }
 
 // BuildFunc produces a served model for a profile name. The default
 // builder trains (or loads from cache) via experiments.BuildSystem.
@@ -156,10 +151,10 @@ func DefaultBuild(profile string) (*Model, error) {
 	return NewModel(profile, experiments.BuildSystem(profile)), nil
 }
 
-// Registry builds and caches one Model per profile. Builds are
-// single-flight per profile: concurrent Get calls for the same profile
-// share one build, and a build for one profile never blocks lookups of
-// another (model builds can take minutes).
+// Registry builds and caches one Model per profile, plus its int8 form on
+// first request. Builds are single-flight per profile: concurrent Get calls
+// for the same profile share one build, and a build for one profile never
+// blocks lookups of another (model builds can take minutes).
 type Registry struct {
 	build BuildFunc
 
@@ -171,6 +166,10 @@ type registryEntry struct {
 	once  sync.Once
 	model *Model
 	err   error
+
+	int8Once  sync.Once
+	int8Model *Model
+	int8Err   error
 }
 
 // NewRegistry returns a registry using the given builder (nil selects
@@ -184,6 +183,23 @@ func NewRegistry(build BuildFunc) *Registry {
 
 // Get returns the model for a profile, building it on first use.
 func (r *Registry) Get(profile string) (*Model, error) {
+	e := r.entry(profile)
+	return e.model, e.err
+}
+
+// getInt8 returns the int8 form of a profile's model, compiling it from the
+// float model on first use.
+func (r *Registry) getInt8(profile string) (*Model, error) {
+	e := r.entry(profile)
+	if e.err != nil {
+		return nil, e.err
+	}
+	e.int8Once.Do(func() { e.int8Model, e.int8Err = newInt8Model(e.model) })
+	return e.int8Model, e.int8Err
+}
+
+// entry returns a profile's cache entry with its float model built.
+func (r *Registry) entry(profile string) *registryEntry {
 	r.mu.Lock()
 	e, ok := r.entries[profile]
 	if !ok {
@@ -192,7 +208,7 @@ func (r *Registry) Get(profile string) (*Model, error) {
 	}
 	r.mu.Unlock()
 	e.once.Do(func() { e.model, e.err = r.build(profile) })
-	return e.model, e.err
+	return e
 }
 
 // NumSensors is the sensor count every current profile deploys (the

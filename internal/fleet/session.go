@@ -207,9 +207,6 @@ func (s *Session) Slot() int {
 // ID returns the session id.
 func (s *Session) ID() string { return s.id }
 
-// User returns the subject id the session was opened for.
-func (s *Session) User() int64 { return s.user }
-
 // Model returns the shared model the session classifies against.
 func (s *Session) Model() *Model { return s.model }
 

@@ -263,13 +263,3 @@ func (d *Device) Classify(slot int) int {
 		panic(fmt.Sprintf("host: unknown aggregation %d", d.cfg.Agg))
 	}
 }
-
-// Reset clears recall state and anticipation (matrix adaptation persists,
-// matching a device reboot with non-volatile host storage).
-func (d *Device) Reset() {
-	for i := range d.last {
-		d.last[i] = recallEntry{}
-	}
-	d.lastFresh = recallEntry{}
-	d.anticipated = -1
-}

@@ -207,18 +207,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	d := New(Config{Sensors: 2, Classes: 2, Agg: AggMajority, Recall: true})
-	d.Observe(res(0, 1, 0, 0.1))
-	d.Reset()
-	if d.Anticipated() != -1 {
-		t.Fatal("reset should clear anticipation")
-	}
-	if got := d.Classify(1); got != -1 {
-		t.Fatalf("reset should clear recall, got %d", got)
-	}
-}
-
 func TestAggregationStrings(t *testing.T) {
 	names := map[Aggregation]string{
 		AggLatest:   "latest",

@@ -159,21 +159,6 @@ func (c *Completion) Rates() (all, atLeastOne, failed float64) {
 	return all, atLeastOne, failed
 }
 
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Percent formats a fraction as a fixed-width percentage for tables.
-func Percent(x float64) string { return fmt.Sprintf("%6.2f%%", 100*x) }
-
 // PerClassF1 returns per-class F1 scores: the harmonic mean of precision
 // (correct / predicted-as-c) and recall (correct / truly-c). Missing
 // predictions count against recall only. Classes never seen report 0.

@@ -97,21 +97,6 @@ func TestCompletionEmptyRates(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) != 0")
-	}
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Fatalf("Mean = %v, want 2", got)
-	}
-}
-
-func TestPercent(t *testing.T) {
-	if got := Percent(0.8388); got != " 83.88%" {
-		t.Fatalf("Percent = %q", got)
-	}
-}
-
 // prop: completion rates always sum to 1 over (atLeastOne + failed) and
 // all <= atLeastOne, for any record sequence.
 func TestCompletionRatesConsistentQuick(t *testing.T) {

@@ -149,10 +149,6 @@ func DefaultConfig() Config {
 // ActivePowerW returns the compute power draw implied by the config.
 func (c Config) ActivePowerW() float64 { return c.MACsPerSecond * c.EnergyPerMAC }
 
-// TaskEnergyJ returns the total energy a task needs under this config
-// (ignoring checkpoint/restore overheads).
-func (c Config) TaskEnergyJ(t *Task) float64 { return t.TotalMACs * c.EnergyPerMAC }
-
 // Stats is cumulative processor telemetry.
 type Stats struct {
 	// Emergencies counts brown-outs encountered mid-task.
@@ -185,14 +181,8 @@ func NewProcessor(cfg Config) *Processor {
 	return &Processor{cfg: cfg}
 }
 
-// Config returns the processor's configuration.
-func (p *Processor) Config() Config { return p.cfg }
-
 // Busy reports whether a task is loaded and unfinished.
 func (p *Processor) Busy() bool { return p.task != nil && !p.task.Done() }
-
-// Task returns the currently loaded task, or nil.
-func (p *Processor) Task() *Task { return p.task }
 
 // Stats returns cumulative telemetry.
 func (p *Processor) Stats() Stats { return p.stats }

@@ -43,10 +43,6 @@ func TestConfigDerivedQuantities(t *testing.T) {
 	if math.Abs(cfg.ActivePowerW()-0.4e-3) > 1e-12 {
 		t.Fatalf("active power = %v, want 0.4 mW", cfg.ActivePowerW())
 	}
-	task := NewTask(30000)
-	if math.Abs(cfg.TaskEnergyJ(task)-60e-6) > 1e-12 {
-		t.Fatalf("task energy = %v, want 60 µJ", cfg.TaskEnergyJ(task))
-	}
 }
 
 func TestCompletesWithAmpleEnergy(t *testing.T) {
@@ -287,7 +283,8 @@ func TestLayerGranularityRollsBackPartialLayer(t *testing.T) {
 	cfg.Granularity = GranularityLayer
 	p := NewProcessor(cfg)
 	// One 2000-MAC layer then one 18000-MAC layer.
-	p.Start(NewLayerTask([]float64{2000, 18000}, 0))
+	task := NewLayerTask([]float64{2000, 18000}, 0)
+	p.Start(task)
 	// Enough energy for 5000 MACs (10 µJ above brown-out): finishes layer 1
 	// (2000) plus 3000 MACs into layer 2, then browns out and rolls back.
 	c := energy.NewCapacitor(200e-6, 0, 5e-6, 15e-6)
@@ -297,7 +294,6 @@ func TestLayerGranularityRollsBackPartialLayer(t *testing.T) {
 	if p.Stats().Emergencies == 0 {
 		t.Fatal("expected a power emergency")
 	}
-	task := p.Task()
 	if got := task.Progress() * task.TotalMACs; got != 2000 {
 		t.Fatalf("progress after rollback = %v MACs, want 2000 (layer boundary)", got)
 	}

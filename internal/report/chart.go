@@ -75,63 +75,3 @@ func (c *BarChart) Write(w io.Writer) error {
 	_, err := io.WriteString(w, out.String())
 	return err
 }
-
-// sparkRunes are the eight block heights of a sparkline.
-var sparkRunes = []rune("▁▂▃▄▅▆▇█")
-
-// Sparkline renders values as a one-line block-character graph, scaled
-// between the series minimum and maximum (a flat series renders mid-height).
-func Sparkline(values []float64) string {
-	if len(values) == 0 {
-		return ""
-	}
-	lo, hi := values[0], values[0]
-	for _, v := range values[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	var b strings.Builder
-	for _, v := range values {
-		idx := len(sparkRunes) / 2
-		if hi > lo {
-			idx = int((v - lo) / (hi - lo) * float64(len(sparkRunes)-1))
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(sparkRunes) {
-			idx = len(sparkRunes) - 1
-		}
-		b.WriteRune(sparkRunes[idx])
-	}
-	return b.String()
-}
-
-// Downsample reduces a series to at most n points by averaging equal-width
-// buckets — how a long harvest trace fits a terminal-width sparkline.
-func Downsample(values []float64, n int) []float64 {
-	if n <= 0 || len(values) == 0 {
-		return nil
-	}
-	if len(values) <= n {
-		return append([]float64(nil), values...)
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		lo := i * len(values) / n
-		hi := (i + 1) * len(values) / n
-		if hi == lo {
-			hi = lo + 1
-		}
-		s := 0.0
-		for _, v := range values[lo:hi] {
-			s += v
-		}
-		out[i] = s / float64(hi-lo)
-	}
-	return out
-}

@@ -216,46 +216,3 @@ func TestBarChartClampsAndEmpty(t *testing.T) {
 		t.Fatalf("negative bar not clamped:\n%s", buf.String())
 	}
 }
-
-func TestSparkline(t *testing.T) {
-	s := Sparkline([]float64{0, 0.5, 1})
-	if len([]rune(s)) != 3 {
-		t.Fatalf("sparkline length = %d", len([]rune(s)))
-	}
-	runes := []rune(s)
-	if runes[0] != '▁' || runes[2] != '█' {
-		t.Fatalf("sparkline extremes = %q", s)
-	}
-	if Sparkline(nil) != "" {
-		t.Fatal("empty sparkline should be empty")
-	}
-	// Flat series renders mid-height, not a panic.
-	flat := Sparkline([]float64{3, 3, 3})
-	if len([]rune(flat)) != 3 {
-		t.Fatalf("flat sparkline = %q", flat)
-	}
-}
-
-func TestDownsample(t *testing.T) {
-	vals := make([]float64, 100)
-	for i := range vals {
-		vals[i] = float64(i)
-	}
-	ds := Downsample(vals, 10)
-	if len(ds) != 10 {
-		t.Fatalf("downsampled length = %d", len(ds))
-	}
-	// Bucket means ascend.
-	for i := 1; i < len(ds); i++ {
-		if ds[i] <= ds[i-1] {
-			t.Fatalf("bucket means not ascending: %v", ds)
-		}
-	}
-	// Short series pass through.
-	if got := Downsample([]float64{1, 2}, 10); len(got) != 2 {
-		t.Fatalf("short series = %v", got)
-	}
-	if Downsample(nil, 5) != nil {
-		t.Fatal("nil series should stay nil")
-	}
-}

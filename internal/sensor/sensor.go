@@ -156,20 +156,11 @@ func New(cfg Config) *Node {
 // events into the given run telemetry. A nil telemetry detaches.
 func (n *Node) Attach(t *obs.Telemetry) { n.obs = t }
 
-// ID returns the node id.
-func (n *Node) ID() int { return n.cfg.ID }
-
 // Location returns the node's body placement.
 func (n *Node) Location() synth.Location { return n.cfg.Location }
 
-// Net returns the node's classifier.
-func (n *Node) Net() *dnn.Network { return n.cfg.Net }
-
 // Capacitor exposes the energy store (read-mostly; the simulator drives it).
 func (n *Node) Capacitor() *energy.Capacitor { return n.cap }
-
-// Processor exposes the NVP for telemetry.
-func (n *Node) Processor() *nvp.Processor { return n.proc }
 
 // Busy reports whether an inference is in flight.
 func (n *Node) Busy() bool { return n.proc.Busy() }

@@ -112,9 +112,6 @@ type Result struct {
 // Accuracy is shorthand for Result.Confusion.Accuracy().
 func (r *Result) Accuracy() float64 { return r.Confusion.Accuracy() }
 
-// PerClass is shorthand for Result.Confusion.PerClass().
-func (r *Result) PerClass() []float64 { return r.Confusion.PerClass() }
-
 // RoundAccuracy is shorthand for Result.RoundConfusion.Accuracy().
 func (r *Result) RoundAccuracy() float64 { return r.RoundConfusion.Accuracy() }
 

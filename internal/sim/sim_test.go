@@ -121,7 +121,7 @@ func TestZeroPowerCompletesNothing(t *testing.T) {
 	tl := smallTimeline(f.profile, 100, 2)
 	nodes := nodesWith(f, 0)
 	for _, n := range nodes {
-		n.Capacitor().Reset(0)
+		n.Capacitor().Drain()
 	}
 	h := host.New(host.Config{Sensors: 3, Classes: f.profile.NumClasses(), Recall: true, Agg: host.AggMajority})
 	res := Run(Config{

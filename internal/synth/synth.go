@@ -264,13 +264,6 @@ func NewUser(id int64) *User {
 	return u
 }
 
-// MountQuality returns the user's wear parameters for a location: the
-// motion-coupling scale (1 = perfect) and the extra rubbing-noise standard
-// deviation (0 = none).
-func (u *User) MountQuality(loc Location) (scale, extraNoise float64) {
-	return u.mountScale[loc], u.mountNoise[loc]
-}
-
 // Generator synthesises IMU windows for one profile and user.
 type Generator struct {
 	// Profile is the dataset profile windows are drawn from.

@@ -27,21 +27,6 @@ type Timeline struct {
 // Len returns the number of slots.
 func (t *Timeline) Len() int { return len(t.PerSlot) }
 
-// SelfTransitionRate returns the fraction of slot boundaries at which the
-// activity does not change — a direct measure of temporal continuity.
-func (t *Timeline) SelfTransitionRate() float64 {
-	if len(t.PerSlot) < 2 {
-		return 1
-	}
-	same := 0
-	for i := 1; i < len(t.PerSlot); i++ {
-		if t.PerSlot[i] == t.PerSlot[i-1] {
-			same++
-		}
-	}
-	return float64(same) / float64(len(t.PerSlot)-1)
-}
-
 // TimelineConfig parameterises activity stream generation.
 type TimelineConfig struct {
 	// Slots is the total stream length.
@@ -98,15 +83,6 @@ func GenerateTimeline(p *Profile, cfg TimelineConfig) *Timeline {
 		}
 	}
 	return tl
-}
-
-// ClassCounts returns how many slots each class occupies.
-func (t *Timeline) ClassCounts(classes int) []int {
-	counts := make([]int, classes)
-	for _, a := range t.PerSlot {
-		counts[a]++
-	}
-	return counts
 }
 
 // MarkovTimelineConfig parameterises a structured activity stream: segment

@@ -18,17 +18,6 @@ func MatMul(a, b *Tensor) *Tensor {
 	return c
 }
 
-// MatMulInto computes dst = A × B, reusing dst's storage.
-// dst must be (m×n); it is overwritten.
-func MatMulInto(dst, a, b *Tensor) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if b.shape[0] != k || dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch dst=%v a=%v b=%v", dst.shape, a.shape, b.shape))
-	}
-	matMulInto(dst.data, a.data, b.data, m, k, n)
-}
-
 // matMulInto is the flat-slice kernel dispatcher: ikj loop order so the
 // innermost loop streams through contiguous rows of b and c. The historical
 // zero-skip branch (worth it for magnitude-pruned weights, dead weight on
@@ -172,19 +161,4 @@ func Col2Im1D(cols *Tensor, channels, width, kernel, stride int) *Tensor {
 		}
 	}
 	return x
-}
-
-// Transpose returns a new 2-D tensor that is the transpose of t.
-func Transpose(t *Tensor) *Tensor {
-	if t.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: Transpose requires a 2-D tensor, got %v", t.shape))
-	}
-	m, n := t.shape[0], t.shape[1]
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.data[j*m+i] = t.data[i*n+j]
-		}
-	}
-	return out
 }

@@ -125,7 +125,7 @@ func BenchmarkMatMulSparseWeights(bench *testing.B) {
 }
 
 // BenchmarkMatMulT compares the naive dot-product layout kernel with the
-// 4×4 register-blocked MatMulTInto that the batched forward path uses.
+// register-blocked matMulTInto that the batched forward path uses.
 func BenchmarkMatMulT(bench *testing.B) {
 	for _, s := range matMulShapes {
 		a := New(s.m, s.k)
@@ -144,7 +144,7 @@ func BenchmarkMatMulT(bench *testing.B) {
 		bench.Run(fmt.Sprintf("blocked/%s", s.name), func(bench *testing.B) {
 			bench.ReportAllocs()
 			for i := 0; i < bench.N; i++ {
-				MatMulTInto(dst, a, bt)
+				matMulTInto(dst.Data(), a.Data(), bt.Data(), s.m, s.k, s.n)
 			}
 			reportFlops(bench, s.m, s.k, s.n)
 		})

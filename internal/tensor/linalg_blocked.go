@@ -12,43 +12,14 @@ import "fmt"
 // (a micro-batched classification must equal its serial replay exactly, not
 // within a tolerance).
 
-// MatMulTInto computes dst = A × Bᵀ where A is (m×k) and B is (n×k), reusing
-// dst's (m×n) storage. It is the register-blocked fast path of MatMulT: both
-// operands are read row-wise (unit stride), and the inner kernel computes a
-// 4×4 tile of dot products at once. No scratch memory is allocated.
-func MatMulTInto(dst, a, b *Tensor) {
-	if a.Dims() != 2 || b.Dims() != 2 || dst.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulTInto requires 2-D tensors, got dst=%v a=%v b=%v", dst.shape, a.shape, b.shape))
-	}
-	m, k := a.shape[0], a.shape[1]
-	n, k2 := b.shape[0], b.shape[1]
-	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTInto shape mismatch dst=%v a=%v b=%vᵀ", dst.shape, a.shape, b.shape))
-	}
-	matMulTInto(dst.data, a.data, b.data, m, k, n)
-}
-
-// MatMulBatchInto computes dst[i] = A[i] × B for every slice of a batched
-// left operand: a is (batch, m, k), b is a shared (k, n) right operand and
-// dst is (batch, m, n). Because every slice shares b, the whole batch is one
-// (batch·m, k) × (k, n) product, which the blocked kernel executes without
-// allocating; callers preallocate dst (e.g. from an activation arena) so the
-// hot path performs no per-call allocations.
-func MatMulBatchInto(dst, a, b *Tensor) {
-	if a.Dims() != 3 || b.Dims() != 2 || dst.Dims() != 3 {
-		panic(fmt.Sprintf("tensor: MatMulBatchInto requires (3-D, 2-D, 3-D), got dst=%v a=%v b=%v", dst.shape, a.shape, b.shape))
-	}
-	batch, m, k := a.shape[0], a.shape[1], a.shape[2]
-	if b.shape[0] != k || dst.shape[0] != batch || dst.shape[1] != m || dst.shape[2] != b.shape[1] {
-		panic(fmt.Sprintf("tensor: MatMulBatchInto shape mismatch dst=%v a=%v b=%v", dst.shape, a.shape, b.shape))
-	}
-	matMulDense(dst.data, a.data, b.data, batch*m, k, b.shape[1])
-}
-
-// MatMulTBatchInto is the Bᵀ-layout companion of MatMulBatchInto: a is
-// (batch, m, k), b a shared (n, k) operand read as its transpose, dst is
-// (batch, m, n). This is the natural layout for batched dense and
-// im2col-lowered convolution layers, whose weights are stored (out, in).
+// MatMulTBatchInto computes dst[i] = A[i] × Bᵀ for every slice of a batched
+// left operand: a is (batch, m, k), b a shared (n, k) operand read as its
+// transpose, dst is (batch, m, n). Because every slice shares b, the whole
+// batch is one (batch·m, k) × (k, n) product, which the blocked kernel
+// executes without allocating; callers preallocate dst (e.g. from an
+// activation arena) so the hot path performs no per-call allocations. This
+// is the natural layout for batched dense and im2col-lowered convolution
+// layers, whose weights are stored (out, in).
 func MatMulTBatchInto(dst, a, b *Tensor) {
 	if a.Dims() != 3 || b.Dims() != 2 || dst.Dims() != 3 {
 		panic(fmt.Sprintf("tensor: MatMulTBatchInto requires (3-D, 2-D, 3-D), got dst=%v a=%v b=%v", dst.shape, a.shape, b.shape))

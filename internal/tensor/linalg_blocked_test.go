@@ -75,7 +75,7 @@ func TestMatMulTIntoMatchesReference(t *testing.T) {
 		a := randTensor(rng, m, k)
 		b := randTensor(rng, n, k)
 		dst := New(m, n)
-		MatMulTInto(dst, a, b)
+		matMulTInto(dst.Data(), a.Data(), b.Data(), m, k, n)
 		want := refMatMulT(a, b)
 		if !exactEqual(dst, want) {
 			t.Fatalf("trial %d (m=%d k=%d n=%d): blocked A×Bᵀ diverged from reference", trial, m, k, n)
@@ -87,16 +87,11 @@ func TestMatMulTIntoMatchesReference(t *testing.T) {
 	}
 }
 
-// prop: MatMulTInto on zero-size edges neither panics nor writes garbage.
+// prop: matMulTInto on zero-size edges neither panics nor writes garbage.
 func TestMatMulTIntoEdgeShapes(t *testing.T) {
-	a := New(0, 5)
-	b := New(3, 5)
-	dst := New(0, 3)
-	MatMulTInto(dst, a, b) // must not panic
-	a2 := New(4, 0)
-	b2 := New(4, 0)
+	matMulTInto(nil, nil, New(3, 5).Data(), 0, 5, 3) // must not panic
 	dst2 := New(4, 4)
-	MatMulTInto(dst2, a2, b2)
+	matMulTInto(dst2.Data(), nil, nil, 4, 0, 4)
 	for _, v := range dst2.Data() {
 		if v != 0 {
 			t.Fatalf("k=0 product must be all zeros, got %v", dst2.Data())
@@ -104,8 +99,10 @@ func TestMatMulTIntoEdgeShapes(t *testing.T) {
 	}
 }
 
-// prop: MatMulBatchInto equals slice-by-slice MatMul for every batch entry.
-func TestMatMulBatchIntoMatchesPerSlice(t *testing.T) {
+// prop: matMulDense over a stacked (batch·m, k) operand equals the
+// slice-by-slice reference, bit for bit, for every batch entry — the
+// 4-row blocking may straddle slice boundaries without changing a result.
+func TestMatMulDenseMatchesPerSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 100; trial++ {
 		batch := rng.Intn(9) + 1
@@ -115,13 +112,13 @@ func TestMatMulBatchIntoMatchesPerSlice(t *testing.T) {
 		a := randTensor(rng, batch, m, k)
 		b := randTensor(rng, k, n)
 		dst := New(batch, m, n)
-		MatMulBatchInto(dst, a, b)
+		matMulDense(dst.Data(), a.Data(), b.Data(), batch*m, k, n)
 		for bi := 0; bi < batch; bi++ {
 			slice := FromSlice(a.Data()[bi*m*k:(bi+1)*m*k], m, k)
 			want := refMatMul(slice, b)
 			got := FromSlice(dst.Data()[bi*m*n:(bi+1)*m*n], m, n)
-			if !got.Equal(want, 1e-12) {
-				t.Fatalf("trial %d batch %d: MatMulBatchInto diverged", trial, bi)
+			if !exactEqual(got, want) {
+				t.Fatalf("trial %d batch %d: matMulDense diverged", trial, bi)
 			}
 		}
 	}

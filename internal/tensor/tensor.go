@@ -10,23 +10,18 @@
 package tensor
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
 
 // Tensor is a dense row-major float64 tensor.
 //
-// The zero value is an empty tensor with no shape. Use New, Zeros or
+// The zero value is an empty tensor with no shape. Use New, Full or
 // FromSlice to build usable values.
 type Tensor struct {
 	shape []int
 	data  []float64
 }
-
-// ErrShape is returned (wrapped) when an operation receives tensors whose
-// shapes are incompatible.
-var ErrShape = errors.New("tensor: shape mismatch")
 
 // New returns a zero-filled tensor with the given shape.
 // It panics if any dimension is negative.
@@ -180,53 +175,11 @@ func (t *Tensor) String() string { return fmt.Sprintf("Tensor%v", t.shape) }
 
 // Add computes t += u elementwise. Shapes must match in element count.
 func (t *Tensor) Add(u *Tensor) {
-	mustSameLen(t, u, "Add")
+	if len(t.data) != len(u.data) {
+		panic(fmt.Sprintf("tensor: Add length mismatch %v vs %v", t.shape, u.shape))
+	}
 	for i, v := range u.data {
 		t.data[i] += v
-	}
-}
-
-// Sub computes t -= u elementwise.
-func (t *Tensor) Sub(u *Tensor) {
-	mustSameLen(t, u, "Sub")
-	for i, v := range u.data {
-		t.data[i] -= v
-	}
-}
-
-// Mul computes t *= u elementwise (Hadamard product).
-func (t *Tensor) Mul(u *Tensor) {
-	mustSameLen(t, u, "Mul")
-	for i, v := range u.data {
-		t.data[i] *= v
-	}
-}
-
-// Scale multiplies every element of t by a.
-func (t *Tensor) Scale(a float64) {
-	for i := range t.data {
-		t.data[i] *= a
-	}
-}
-
-// AddScaled computes t += a*u, the classic axpy kernel used by SGD.
-func (t *Tensor) AddScaled(a float64, u *Tensor) {
-	mustSameLen(t, u, "AddScaled")
-	for i, v := range u.data {
-		t.data[i] += a * v
-	}
-}
-
-// Apply replaces every element x of t with f(x).
-func (t *Tensor) Apply(f func(float64) float64) {
-	for i, v := range t.data {
-		t.data[i] = f(v)
-	}
-}
-
-func mustSameLen(t, u *Tensor, op string) {
-	if len(t.data) != len(u.data) {
-		panic(fmt.Sprintf("tensor: %s length mismatch %v vs %v", op, t.shape, u.shape))
 	}
 }
 

@@ -126,44 +126,6 @@ func TestElementwiseOps(t *testing.T) {
 			t.Fatalf("Add[%d] = %v, want %v", i, v, want[i])
 		}
 	}
-	a.Sub(b)
-	for i, v := range a.Data() {
-		if v != float64(i+1) {
-			t.Fatalf("Sub[%d] = %v, want %v", i, v, i+1)
-		}
-	}
-	a.Mul(b)
-	want = []float64{10, 40, 90}
-	for i, v := range a.Data() {
-		if v != want[i] {
-			t.Fatalf("Mul[%d] = %v, want %v", i, v, want[i])
-		}
-	}
-	a.Scale(0.5)
-	want = []float64{5, 20, 45}
-	for i, v := range a.Data() {
-		if v != want[i] {
-			t.Fatalf("Scale[%d] = %v, want %v", i, v, want[i])
-		}
-	}
-	a.AddScaled(2, b)
-	want = []float64{25, 60, 105}
-	for i, v := range a.Data() {
-		if v != want[i] {
-			t.Fatalf("AddScaled[%d] = %v, want %v", i, v, want[i])
-		}
-	}
-}
-
-func TestApply(t *testing.T) {
-	a := FromSlice([]float64{-1, 2, -3}, 3)
-	a.Apply(math.Abs)
-	want := []float64{1, 2, 3}
-	for i, v := range a.Data() {
-		if v != want[i] {
-			t.Fatalf("Apply[%d] = %v, want %v", i, v, want[i])
-		}
-	}
 }
 
 func TestAddShapeMismatchPanics(t *testing.T) {
@@ -243,6 +205,8 @@ func TestMatMulKnownValues(t *testing.T) {
 	}
 }
 
+// prop: the kernel dispatcher behind MatMul overwrites its destination
+// rather than accumulating into it.
 func TestMatMulIntoMatchesMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a, b := New(4, 5), New(5, 3)
@@ -250,9 +214,9 @@ func TestMatMulIntoMatchesMatMul(t *testing.T) {
 	b.RandNormal(rng, 0, 1)
 	want := MatMul(a, b)
 	dst := Full(99, 4, 3)
-	MatMulInto(dst, a, b)
+	matMulInto(dst.Data(), a.Data(), b.Data(), 4, 5, 3)
 	if !dst.Equal(want, 1e-12) {
-		t.Fatal("MatMulInto disagrees with MatMul")
+		t.Fatal("matMulInto disagrees with MatMul")
 	}
 }
 
@@ -272,7 +236,7 @@ func TestMatMulTAndMatTMulAgreeWithExplicitTranspose(t *testing.T) {
 	a.RandNormal(rng, 0, 1)
 	b.RandNormal(rng, 0, 1)
 	got := MatMulT(a, b)
-	want := MatMul(a, Transpose(b))
+	want := MatMul(a, transpose(b))
 	if !got.Equal(want, 1e-12) {
 		t.Fatal("MatMulT disagrees with explicit transpose")
 	}
@@ -282,7 +246,7 @@ func TestMatMulTAndMatTMulAgreeWithExplicitTranspose(t *testing.T) {
 	c.RandNormal(rng, 0, 1)
 	d.RandNormal(rng, 0, 1)
 	got2 := MatTMul(c, d)
-	want2 := MatMul(Transpose(c), d)
+	want2 := MatMul(transpose(c), d)
 	if !got2.Equal(want2, 1e-12) {
 		t.Fatal("MatTMul disagrees with explicit transpose")
 	}
@@ -294,16 +258,6 @@ func TestMatVec(t *testing.T) {
 	y := MatVec(a, x)
 	if y.At(0) != 6 || y.At(1) != 15 {
 		t.Fatalf("MatVec = %v, want [6 15]", y.Data())
-	}
-}
-
-func TestTransposeRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := New(3, 7)
-	a.RandNormal(rng, 0, 1)
-	b := Transpose(Transpose(a))
-	if !a.Equal(b, 0) {
-		t.Fatal("double transpose is not identity")
 	}
 }
 
@@ -507,7 +461,9 @@ func TestVarianceShiftInvariantQuick(t *testing.T) {
 		x.RandNormal(r, 0, 1)
 		v1 := x.Variance()
 		y := x.Clone()
-		y.Apply(func(v float64) float64 { return v + shift })
+		for i := range y.Data() {
+			y.Data()[i] += shift
+		}
 		v2 := y.Variance()
 		return almostEqual(v1, v2, 1e-6*(1+math.Abs(shift)))
 	}
@@ -524,7 +480,7 @@ func BenchmarkMatMul64(b *testing.B) {
 	dst := New(64, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMulInto(dst, x, y)
+		matMulInto(dst.Data(), x.Data(), y.Data(), 64, 64, 64)
 	}
 }
 
@@ -536,4 +492,17 @@ func BenchmarkIm2Col(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = Im2Col1D(x, 5, 1)
 	}
+}
+
+// transpose is the naive reference the MatMulT/MatTMul layouts are checked
+// against.
+func transpose(t *Tensor) *Tensor {
+	m, n := t.Dim(0), t.Dim(1)
+	out := New(n, m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			out.Set(t.At(i, j), j, i)
+		}
+	}
+	return out
 }

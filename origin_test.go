@@ -33,10 +33,6 @@ func TestFacadeUsers(t *testing.T) {
 	if u0 == nil || u1 == nil {
 		t.Fatal("NewUser returned nil")
 	}
-	s0, n0 := u0.MountQuality(0)
-	if s0 != 1 || n0 != 0 {
-		t.Fatalf("population user mount = %v/%v, want perfect", s0, n0)
-	}
 }
 
 func TestFacadeTrace(t *testing.T) {
