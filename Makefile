@@ -4,7 +4,7 @@ GO ?= go
 # the pipe would swallow a failing gate's exit status.
 SHELL = /bin/bash -o pipefail
 
-.PHONY: build test coverage bench bench-forward bench-serve verify-bench verify-bench-serve verify-drill verify-obs verify-fault verify-serve fuzz-smoke lint
+.PHONY: build test coverage bench bench-forward bench-serve verify-bench verify-bench-serve verify-drill verify-obs verify-fault verify-serve fuzz-smoke lint loc
 
 BENCH_FORWARD = -run '^$$' -bench 'BenchmarkForward|BenchmarkKernelReference' \
 	-benchtime 1s -count 5 . ./internal/tensor
@@ -30,6 +30,14 @@ coverage:
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# Go line counts of the root module, production and test files apart.
+# perfbench/ is its own module and .bench_build/ is benchmark build output,
+# so neither counts.
+LOC_FILES = find . -name '*.go' -not -path './perfbench/*' -not -path './.bench_build/*'
+loc:
+	@echo "production Go lines: $$($(LOC_FILES) -not -name '*_test.go' -exec cat {} + | wc -l)"
+	@echo "test Go lines: $$($(LOC_FILES) -name '*_test.go' -exec cat {} + | wc -l)"
 
 # Re-record the committed forward-throughput baseline: single-window vs
 # micro-batched inference (float and int8) plus the frozen kernel anchor

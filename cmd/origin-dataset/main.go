@@ -30,11 +30,9 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 	)
 	flag.Parse()
-	p := synth.MHEALTHProfile()
-	if *kind == "PAMAP2" {
-		p = synth.PAMAP2Profile()
-	} else if *kind != "MHEALTH" {
-		fmt.Fprintf(os.Stderr, "origin-dataset: unknown dataset %q\n", *kind)
+	p, err := synth.ProfileByName(*kind)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "origin-dataset: %v\n", err)
 		os.Exit(2)
 	}
 	read := dataset.ReadMHEALTHFile

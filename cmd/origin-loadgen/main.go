@@ -41,8 +41,8 @@ func main() {
 		freeze     = flag.Bool("freeze", false, "disable online matrix adaptation")
 		traces     = flag.Bool("traces", false, "include per-session classification sequences in the JSON report")
 		jsonOut    = flag.String("json", "", `write the report as JSON to this file ("-" = stdout)`)
-		queueDepth = flag.Int("queue", 256, "in-process server: classification queue depth")
-		workers    = flag.Int("workers", 0, "in-process server: classification workers (0 = GOMAXPROCS)")
+		queueDepth = flag.Int("queue", 256, "in-process server: classify calls allowed to wait for a running slot")
+		workers    = flag.Int("workers", 0, "in-process server: classify rounds run at once (0 = GOMAXPROCS, raised to the batch size)")
 		cache      = flag.String("cache", "", "model cache directory")
 		streamAddr = flag.String("stream-addr", "", "stream front host:port (stream mode against an external -addr; the in-process server starts its own)")
 		streamHop  = flag.Int("stream-hop", loadgen.DefaultStreamHop, "new samples per steady-state stream frame (1..64)")

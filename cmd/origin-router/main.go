@@ -32,22 +32,18 @@ func main() {
 		addr       = flag.String("addr", ":8090", "HTTP front listen address")
 		streamAddr = flag.String("stream-addr", "", "binary stream front listen address (empty = HTTP only)")
 		replicas   = flag.String("replicas", "", "comma-separated replica list, each httpURL@streamAddr (required)")
-		vnodes     = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per replica on the hash ring")
 	)
 	flag.Parse()
 
 	if *replicas == "" {
 		usageError("-replicas is required (httpURL@streamAddr, comma-separated)")
 	}
-	if *vnodes <= 0 {
-		usageError("-vnodes must be positive, got %d", *vnodes)
-	}
 	backends, err := parseReplicas(*replicas)
 	if err != nil {
 		usageError("%v", err)
 	}
 
-	router, err := cluster.NewRouter(*vnodes, backends...)
+	router, err := cluster.NewRouter(backends...)
 	if err != nil {
 		usageError("%v", err)
 	}

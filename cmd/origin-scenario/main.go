@@ -47,8 +47,8 @@ func main() {
 		tiny         = flag.Bool("tiny", false, "serve tiny deterministic models instead of trained ones (CI smoke)")
 		verifyReplay = flag.Bool("verify-replay", false, "also replay every lineage serially and fail on any divergence")
 		out          = flag.String("o", "-", "SLO report destination (- for stdout)")
-		queueDepth   = flag.Int("queue", 256, "classification queue depth")
-		workers      = flag.Int("workers", 0, "classification workers (0 = GOMAXPROCS)")
+		queueDepth   = flag.Int("queue", 256, "classify calls allowed to wait for a running slot")
+		workers      = flag.Int("workers", 0, "classify rounds run at once (0 = GOMAXPROCS, raised to the batch size)")
 		reqTimeout   = flag.Duration("request-timeout", 30*time.Second, "per-classify deadline")
 	)
 	flag.Parse()

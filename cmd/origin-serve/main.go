@@ -8,9 +8,11 @@
 //	origin-serve -addr :8080 -stream-addr :8081
 //
 // Sessions hold per-wearer ensemble state (recall store + adaptive
-// confidence matrix) over models built once per profile; classify traffic
-// flows through a bounded work queue that sheds load with 429 when
-// saturated. SIGINT/SIGTERM drains in-flight work before exit.
+// confidence matrix) over models built once per profile; each classify
+// round runs on its request once it holds one of -workers running slots,
+// up to -queue more requests wait for a slot, and beyond that the server
+// sheds load with 429. SIGINT/SIGTERM waits for every admitted round
+// before exit.
 package main
 
 import (
@@ -39,8 +41,8 @@ func main() {
 		maxSessions  = flag.Int("max-sessions", 4096, "live session cap (LRU eviction beyond it)")
 		sessionTTL   = flag.Duration("session-ttl", 30*time.Minute, "evict sessions idle longer than this (0 = never)")
 		shards       = flag.Int("shards", 8, "session map shard count")
-		queueDepth   = flag.Int("queue", 256, "classification queue depth (full queue sheds with 429)")
-		workers      = flag.Int("workers", 0, "classification workers (0 = GOMAXPROCS)")
+		queueDepth   = flag.Int("queue", 256, "classify requests allowed to wait for a running slot (beyond it, 429)")
+		workers      = flag.Int("workers", 0, "classify rounds run at once (0 = GOMAXPROCS, raised to -batch-size)")
 		reqTimeout   = flag.Duration("request-timeout", 10*time.Second, "per-classify deadline")
 		batchSize    = flag.Int("batch-size", 16, "micro-batch window cap for batched inference (1 disables batching)")
 		batchHold    = flag.Duration("batch-hold", 0, "max time a window may wait for batch-mates (0 = only coalesce already-queued work)")
@@ -192,13 +194,13 @@ func main() {
 	}
 
 	// Graceful drain: stop accepting connections, let in-flight HTTP
-	// requests (and the queued classifications they wait on) finish, then
-	// stop the workers.
+	// requests (and the classify rounds they run or wait for) finish, then
+	// close the manager.
 	log.Printf("shutting down: draining in-flight work (max %s)", *drainTimeout)
 	close(stopJanitor)
 	if streamSrv != nil {
 		// Close the stream front before the manager so in-flight rounds
-		// finish against live workers.
+		// finish before the manager stops admitting them.
 		streamSrv.Close()
 	}
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)

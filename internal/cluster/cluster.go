@@ -23,9 +23,8 @@ type Config struct {
 	// migration mechanism). Production deployments point every replica at
 	// the same durable store; the drills use one MemStateStore.
 	Store fleet.StateStore
-	// VNodes is the ring's virtual-node count (<= 0 selects DefaultVNodes).
-	VNodes int
-	// QueueDepth/Workers size each replica's classify queue (defaults 64/2).
+	// QueueDepth/Workers size each replica's classify admission: waiting
+	// line and running slots (defaults 64/2).
 	QueueDepth int
 	Workers    int
 }
@@ -77,7 +76,7 @@ func New(cfg Config) (*Cluster, error) {
 		cfg.Workers = 2
 	}
 	c := &Cluster{cfg: cfg, replicas: map[string]*replica{}}
-	router, err := NewRouter(cfg.VNodes)
+	router, err := NewRouter()
 	if err != nil {
 		return nil, err
 	}

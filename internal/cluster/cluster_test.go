@@ -3,7 +3,9 @@ package cluster_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
@@ -268,4 +270,44 @@ func TestClusterJoinMovesSessions(t *testing.T) {
 		}
 	}
 	t.Logf("join moved %d of %d sessions", moved, len(ids))
+}
+
+// prop: a router started over replicas that already hold the ids an earlier
+// router minted skips the taken ids instead of answering 409, while a taken
+// id the client chose still reaches the client as 409.
+func TestRouterSkipsTakenMintedIDs(t *testing.T) {
+	reg, store := fleettest.NewRegistry(), fleet.NewMemStateStore()
+	var backends []cluster.Backend
+	for i := 0; i < 2; i++ {
+		mgr := fleet.NewManager(fleet.Config{Registry: reg, State: store})
+		ts := httptest.NewServer(serve.New(serve.Config{Manager: mgr}))
+		t.Cleanup(func() { ts.Close(); mgr.Close() })
+		// HTTP-only test: the stream address is never dialed.
+		backends = append(backends, cluster.Backend{Name: fmt.Sprintf("shard-%d", i), HTTPURL: ts.URL, StreamAddr: "127.0.0.1:1"})
+	}
+	create := func(router *cluster.Router, req serve.CreateSessionRequest) (int, string) {
+		b, _ := json.Marshal(req)
+		rec := httptest.NewRecorder()
+		router.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(b)))
+		var created serve.CreateSessionResponse
+		_ = json.Unmarshal(rec.Body.Bytes(), &created)
+		return rec.Code, created.ID
+	}
+	first, err := cluster.NewRouter(backends...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, id := create(first, serve.CreateSessionRequest{Profile: "MHEALTH", User: 7}); code != http.StatusCreated || id != "r-1" {
+		t.Fatalf("first router create: %d %q, want 201 r-1", code, id)
+	}
+	second, err := cluster.NewRouter(backends...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, id := create(second, serve.CreateSessionRequest{Profile: "MHEALTH", User: 99}); code != http.StatusCreated || id != "r-2" {
+		t.Fatalf("second router create: %d %q, want 201 r-2", code, id)
+	}
+	if code, _ := create(second, serve.CreateSessionRequest{ID: "r-1", Profile: "MHEALTH", User: 99}); code != http.StatusConflict {
+		t.Fatalf("client-chosen taken id: %d, want 409", code)
+	}
 }

@@ -14,18 +14,17 @@ import (
 	"sync"
 )
 
-// DefaultVNodes is the virtual-node count per member. 64 vnodes keeps the
+// vnodesPerMember is the virtual-node count per member. 64 vnodes keeps the
 // worst member within a few percent of the mean share for small clusters
-// while the ring stays tiny (a few KiB per member).
-const DefaultVNodes = 64
+// while the ring stays tiny (a few KiB per member). It is a constant, not a
+// knob: routers with different counts would disagree on placement.
+const vnodesPerMember = 64
 
 // Ring is a consistent-hash ring: members own contiguous arcs of a 64-bit
 // keyspace, split into vnodes so shares stay even and membership changes
 // move only the arcs adjacent to the changed member. Safe for concurrent
 // use.
 type Ring struct {
-	vnodes int
-
 	mu      sync.RWMutex
 	points  []ringPoint // sorted by hash
 	members map[string]struct{}
@@ -36,12 +35,9 @@ type ringPoint struct {
 	member string
 }
 
-// NewRing builds an empty ring. vnodes <= 0 selects DefaultVNodes.
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	return &Ring{vnodes: vnodes, members: map[string]struct{}{}}
+// NewRing builds an empty ring.
+func NewRing() *Ring {
+	return &Ring{members: map[string]struct{}{}}
 }
 
 // hash64 is FNV-1a over s, finished with the splitmix64 mixer. Raw FNV-1a
@@ -71,7 +67,7 @@ func (r *Ring) Add(member string) {
 		return
 	}
 	r.members[member] = struct{}{}
-	for v := 0; v < r.vnodes; v++ {
+	for v := 0; v < vnodesPerMember; v++ {
 		r.points = append(r.points, ringPoint{hash64(fmt.Sprintf("%s#%d", member, v)), member})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })

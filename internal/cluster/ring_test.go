@@ -9,7 +9,7 @@ import (
 // different orders agree on every key. The router tier depends on this: any
 // router instance, or a rebuilt one, must route a session the same way.
 func TestRingOrderIndependent(t *testing.T) {
-	a, b := NewRing(0), NewRing(0)
+	a, b := NewRing(), NewRing()
 	for _, m := range []string{"alpha", "beta", "gamma"} {
 		a.Add(m)
 	}
@@ -29,7 +29,7 @@ func TestRingOrderIndependent(t *testing.T) {
 // the fair share) because the point is catching gross imbalance (for
 // example a broken vnode hash), not certifying variance.
 func TestRingBalance(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	members := []string{"alpha", "beta", "gamma"}
 	for _, m := range members {
 		r.Add(m)
@@ -53,7 +53,7 @@ func TestRingBalance(t *testing.T) {
 // survivor keeps its owner. Likewise adding a member only moves keys TO the
 // new member.
 func TestRingMembershipChangesMoveOnlyAffectedKeys(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	for _, m := range []string{"alpha", "beta", "gamma"} {
 		r.Add(m)
 	}
@@ -104,7 +104,7 @@ func TestRingMembershipChangesMoveOnlyAffectedKeys(t *testing.T) {
 
 // Idempotence and edge cases: double add, double remove, empty ring.
 func TestRingEdgeCases(t *testing.T) {
-	r := NewRing(8)
+	r := NewRing()
 	if r.Owner("r-1") != "" {
 		t.Fatal("empty ring must own nothing")
 	}

@@ -37,7 +37,8 @@ import (
 //     lands on the new owner, which resumes from the shared state store.
 //   - Session ids are router-assigned ("r-%d") on create when the client
 //     did not pick one, so placement is a pure function of the id and any
-//     router instance routes the session identically.
+//     router instance routes the session identically. A minted id the
+//     owner already holds is skipped, not reported.
 type Router struct {
 	ring  *Ring
 	ids   atomic.Int64
@@ -63,11 +64,10 @@ type Backend struct {
 	StreamAddr string
 }
 
-// NewRouter builds a router over the given replicas. vnodes <= 0 selects
-// DefaultVNodes.
-func NewRouter(vnodes int, backends ...Backend) (*Router, error) {
+// NewRouter builds a router over the given replicas.
+func NewRouter(backends ...Backend) (*Router, error) {
 	r := &Router{
-		ring:     NewRing(vnodes),
+		ring:     NewRing(),
 		backends: map[string]Backend{},
 		splices:  map[string]map[net.Conn]struct{}{},
 		httpc: &http.Client{
@@ -181,7 +181,10 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 
 // routeCreate handles POST /v1/sessions: assign the session id up front
 // (unless the client picked one) so the create lands on the replica that
-// will own every subsequent request for it.
+// will own every subsequent request for it. A minted id can already be taken
+// — a restarted router's counter starts over while the store still holds the
+// ids its predecessor minted — so a 409 for a minted id retries with the next
+// one. A 409 for a client-chosen id reaches the client.
 func (r *Router) routeCreate(w http.ResponseWriter, req *http.Request) {
 	body, err := io.ReadAll(req.Body)
 	if err != nil {
@@ -193,31 +196,51 @@ func (r *Router) routeCreate(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusBadRequest, "malformed create request")
 		return
 	}
-	if create.ID == "" {
-		create.ID = fmt.Sprintf("r-%d", r.ids.Add(1))
-		if body, err = json.Marshal(&create); err != nil {
-			httpError(w, http.StatusInternalServerError, "re-encode failed")
+	minted := create.ID == ""
+	for attempt := 0; ; attempt++ {
+		if minted {
+			create.ID = fmt.Sprintf("r-%d", r.ids.Add(1))
+			if body, err = json.Marshal(&create); err != nil {
+				httpError(w, http.StatusInternalServerError, "re-encode failed")
+				return
+			}
+		}
+		resp := r.roundTrip(w, req, create.ID, body)
+		if resp == nil {
 			return
 		}
+		if minted && resp.StatusCode == http.StatusConflict && attempt < maxForwardAttempts {
+			resp.Body.Close()
+			continue
+		}
+		relay(w, resp)
+		return
 	}
-	r.forward(w, req, create.ID, body)
 }
 
-// forward proxies one request to the session's owner. On a dial failure
-// the target is evicted from the ring (it is unreachable for everyone) and
-// the request retries on the next owner — safe because a dial failure
-// means zero request bytes were delivered.
+// forward proxies one request to the session's owner and relays the reply.
 func (r *Router) forward(w http.ResponseWriter, req *http.Request, session string, body []byte) {
+	if resp := r.roundTrip(w, req, session, body); resp != nil {
+		relay(w, resp)
+	}
+}
+
+// roundTrip sends one request to the session's owner and returns the reply,
+// or writes an error to w and returns nil. On a dial failure the target is
+// evicted from the ring (it is unreachable for everyone) and the request
+// retries on the next owner — safe because a dial failure means zero
+// request bytes were delivered.
+func (r *Router) roundTrip(w http.ResponseWriter, req *http.Request, session string, body []byte) *http.Response {
 	for attempt := 0; ; attempt++ {
 		b, ok := r.owner(session)
 		if !ok {
 			httpError(w, http.StatusServiceUnavailable, "no replicas available")
-			return
+			return nil
 		}
 		out, err := http.NewRequestWithContext(req.Context(), req.Method, b.HTTPURL+req.URL.Path, bytes.NewReader(body))
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, "bad upstream request")
-			return
+			return nil
 		}
 		out.Header = req.Header.Clone()
 		resp, err := r.httpc.Do(out)
@@ -227,22 +250,26 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, session strin
 				continue
 			}
 			httpError(w, http.StatusBadGateway, "upstream unreachable")
-			return
+			return nil
 		}
-		defer resp.Body.Close()
-		for k, vs := range resp.Header {
-			for _, v := range vs {
-				w.Header().Add(k, v)
-			}
-		}
-		w.WriteHeader(resp.StatusCode)
-		_, _ = io.Copy(w, resp.Body)
-		return
+		return resp
 	}
 }
 
-// maxForwardAttempts bounds dial-failure retries: a full cluster outage
-// must fail fast, not spin.
+// relay copies an upstream reply to the client and closes it.
+func relay(w http.ResponseWriter, resp *http.Response) {
+	defer resp.Body.Close()
+	for k, vs := range resp.Header {
+		for _, v := range vs {
+			w.Header().Add(k, v)
+		}
+	}
+	w.WriteHeader(resp.StatusCode)
+	_, _ = io.Copy(w, resp.Body)
+}
+
+// maxForwardAttempts bounds dial-failure retries (and minted-id conflict
+// retries on create): a full cluster outage must fail fast, not spin.
 const maxForwardAttempts = 8
 
 // isDialFailure reports whether err happened before any request byte was

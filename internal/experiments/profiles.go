@@ -1,8 +1,10 @@
 package experiments
 
+import "origin/internal/synth"
+
 // ProfileNames lists the dataset profiles BuildSystem accepts, in a fixed
 // order suitable for help text.
-func ProfileNames() []string { return []string{"MHEALTH", "PAMAP2"} }
+func ProfileNames() []string { return synth.ProfileNames() }
 
 // KnownProfile reports whether BuildSystem accepts the named profile —
 // the up-front check CLI entry points and the serving registry run before
@@ -10,10 +12,6 @@ func ProfileNames() []string { return []string{"MHEALTH", "PAMAP2"} }
 // names, which is the right contract for internal callers but not for
 // user-supplied input).
 func KnownProfile(name string) bool {
-	for _, p := range ProfileNames() {
-		if p == name {
-			return true
-		}
-	}
-	return false
+	_, err := synth.ProfileByName(name)
+	return err == nil
 }

@@ -71,17 +71,6 @@ func BuildSystem(profileName string) *System {
 	return s
 }
 
-func profileByName(name string) *synth.Profile {
-	switch name {
-	case "MHEALTH":
-		return synth.MHEALTHProfile()
-	case "PAMAP2":
-		return synth.PAMAP2Profile()
-	default:
-		panic(fmt.Sprintf("experiments: unknown profile %q", name))
-	}
-}
-
 // cacheDir returns the model cache directory (override with ORIGIN_CACHE).
 func cacheDir() string {
 	if d := os.Getenv("ORIGIN_CACHE"); d != "" {
@@ -91,7 +80,10 @@ func cacheDir() string {
 }
 
 func buildSystemLocked(profileName string) *System {
-	p := profileByName(profileName)
+	p, err := synth.ProfileByName(profileName)
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
 	s := &System{Profile: p}
 
 	// The B2 budget comes from the measured calibration trace.

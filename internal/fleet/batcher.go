@@ -252,8 +252,8 @@ func (mb *modelBatchers) scorerFor(m *Model) scorer {
 }
 
 // close stops every batcher after in-flight work has drained. The caller
-// (Manager.Close) must have already drained the classification queue: only
-// queue workers submit to batchers, so at this point no new jobs can arrive.
+// (Manager.Close) must have already waited out every admitted round: only
+// running rounds submit to batchers, so at this point no new jobs can arrive.
 func (mb *modelBatchers) close() {
 	mb.mu.Lock()
 	if mb.closed {

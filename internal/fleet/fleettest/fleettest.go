@@ -5,7 +5,6 @@
 package fleettest
 
 import (
-	"fmt"
 	"math/rand"
 
 	"origin/internal/dnn"
@@ -21,14 +20,9 @@ import (
 // behaviourally identical models (same net weights, same tables), which is
 // what lets replay tests rebuild "the same" model on both sides.
 func NewModel(profileName string) (*fleet.Model, error) {
-	var p *synth.Profile
-	switch profileName {
-	case "MHEALTH":
-		p = synth.MHEALTHProfile()
-	case "PAMAP2":
-		p = synth.PAMAP2Profile()
-	default:
-		return nil, fmt.Errorf("fleettest: unknown profile %q", profileName)
+	p, err := synth.ProfileByName(profileName)
+	if err != nil {
+		return nil, err
 	}
 	classes := p.NumClasses()
 	nets := make([]*dnn.Network, synth.NumLocations)

@@ -16,8 +16,9 @@ import (
 var (
 	// ErrNotFound marks a lookup of an unknown (or evicted) session → 404.
 	ErrNotFound = errors.New("session not found")
-	// ErrSaturated marks a classify rejected because the work queue is
-	// full → 429 (shed load rather than queue unboundedly).
+	// ErrSaturated marks a classify rejected because every running slot is
+	// busy and the waiting line is full → 429 (shed load rather than queue
+	// unboundedly).
 	ErrSaturated = errors.New("work queue saturated")
 	// ErrShutdown marks a request arriving after Close began → 503.
 	ErrShutdown = errors.New("manager shut down")
@@ -37,11 +38,13 @@ type Config struct {
 	// TTL, when positive, evicts sessions idle longer than this (checked
 	// lazily on create and by EvictExpired sweeps).
 	TTL time.Duration
-	// QueueDepth bounds the classification queue (default 256); Workers
-	// sizes the worker pool (default obs.DefaultWorkers(), raised to
-	// BatchSize when micro-batching is on: in-flight classifies bound the
-	// windows a batch can coalesce, and batching workers block on batch
-	// replies rather than occupying a core).
+	// Workers is the number of running slots: at most this many classify
+	// rounds run at once, each on its caller's goroutine (default
+	// obs.DefaultWorkers(), raised to BatchSize when micro-batching is on:
+	// running rounds bound the windows a batch can coalesce, and a batching
+	// round blocks on its batch reply rather than occupying a core).
+	// QueueDepth bounds the callers waiting for a slot (default 256); a
+	// caller beyond it is shed with ErrSaturated.
 	QueueDepth int
 	Workers    int
 	// BatchSize caps how many same-(model,sensor) windows one micro-batched
@@ -100,7 +103,7 @@ func (mt *Metrics) noteBatch(n int) {
 }
 
 // MetricsSnapshot is a point-in-time copy of the serving counters plus the
-// two gauges (live sessions, queued jobs).
+// two gauges (live sessions, callers waiting for a running slot).
 type MetricsSnapshot struct {
 	SessionsActive   int   `json:"sessionsActive"`
 	SessionsCreated  int64 `json:"sessionsCreated"`
@@ -124,18 +127,26 @@ type shard struct {
 }
 
 // Manager is the fleet session service: a sharded session map with LRU/TTL
-// eviction over a shared model registry, plus the bounded classification
-// queue. It is safe for concurrent use.
+// eviction over a shared model registry, plus classify admission (bounded
+// running slots and a bounded waiting line). It is safe for concurrent use.
 type Manager struct {
 	cfg      Config
 	reg      *Registry
 	shards   []*shard
-	queue    *queue
 	batchers *modelBatchers // nil when micro-batching is disabled
 	metrics  Metrics
 	active   atomic.Int64
 	nextID   atomic.Int64
 	shutdown atomic.Bool
+
+	// Classify admission: slots holds one token per running round, waiting
+	// counts callers blocked for a slot, and rounds tracks every admitted
+	// caller so Close can wait them out. admitMu orders the shutdown check
+	// and rounds.Add against Close.
+	slots   chan struct{}
+	waiting atomic.Int64
+	rounds  sync.WaitGroup
+	admitMu sync.RWMutex
 
 	// Pressure window (SetPressure), read atomically on the classify path.
 	pressureDelayNs   atomic.Int64
@@ -147,18 +158,18 @@ type Manager struct {
 }
 
 // Pressure is a serve-side stress window a scenario driver can open and
-// close mid-run: slow workers (injected per-job latency, backing the queue
-// up toward saturation) and forced shed (a deterministic fraction of
-// classifies rejected as if the queue were full). Both act on the classify
-// path only — session create/get/delete stay unpressured, matching a real
-// overload where inference capacity is the bottleneck.
+// close mid-run: slow rounds (injected per-round latency, backing the
+// waiting line up toward saturation) and forced shed (a deterministic
+// fraction of classifies rejected as if the line were full). Both act on the
+// classify path only — session create/get/delete stay unpressured, matching
+// a real overload where inference capacity is the bottleneck.
 type Pressure struct {
-	// WorkerDelay is injected latency per classify job, spent inside the
-	// worker after the job is dequeued (so it occupies a worker slot exactly
-	// like genuinely slow inference would).
+	// WorkerDelay is injected latency per classify round, spent after the
+	// round takes its running slot (so it occupies the slot exactly like
+	// genuinely slow inference would).
 	WorkerDelay time.Duration
 	// ShedEvery, when positive, force-sheds every ShedEvery-th classify —
-	// counted manager-wide across sessions — before it reaches the queue,
+	// counted manager-wide across sessions — before it waits for a slot,
 	// surfacing as ErrSaturated/429 to the caller. 1 sheds everything.
 	ShedEvery int64
 }
@@ -187,7 +198,7 @@ func (m *Manager) Pressure() Pressure {
 	}
 }
 
-// NewManager builds and starts a manager (worker pool included).
+// NewManager builds a manager.
 func NewManager(cfg Config) *Manager {
 	if cfg.Registry == nil {
 		cfg.Registry = NewRegistry(nil)
@@ -207,11 +218,10 @@ func NewManager(cfg Config) *Manager {
 	if cfg.Workers <= 0 {
 		cfg.Workers = obs.DefaultWorkers()
 		// Micro-batches can only coalesce windows that are in flight at
-		// once, and in-flight classifies are bounded by the worker count —
-		// a batching worker spends its time blocked on the batch reply,
-		// not on a core. One worker per core (the non-batched default)
-		// would cap every batch at one window, so give the pool enough
-		// headroom to fill a batch.
+		// once, and in-flight rounds are bounded by the running slots — a
+		// batching round spends its slot blocked on the batch reply, not
+		// on a core. One slot per core (the non-batched default) would cap
+		// every batch at one window, so give enough slots to fill a batch.
 		if cfg.BatchSize > 1 && cfg.Workers < cfg.BatchSize {
 			cfg.Workers = cfg.BatchSize
 		}
@@ -219,12 +229,11 @@ func NewManager(cfg Config) *Manager {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	m := &Manager{cfg: cfg, reg: cfg.Registry}
+	m := &Manager{cfg: cfg, reg: cfg.Registry, slots: make(chan struct{}, cfg.Workers)}
 	m.shards = make([]*shard, cfg.Shards)
 	for i := range m.shards {
 		m.shards[i] = &shard{sessions: map[string]*Session{}, order: list.New()}
 	}
-	m.queue = newQueue(cfg.QueueDepth, cfg.Workers)
 	if cfg.BatchSize > 1 {
 		m.batchers = newModelBatchers(cfg.BatchSize, cfg.BatchHold, &m.metrics)
 	}
@@ -250,11 +259,18 @@ func (m *Manager) shardFor(id string) *shard {
 	return m.shards[h%uint32(len(m.shards))]
 }
 
-// Create opens a session on the named profile for a user. The model is
-// fetched from the registry (building it on first use); a full shard
-// evicts its least-recently-used session to make room.
+// Create opens a session on the named profile for a user under a minted id
+// ("s-N"). The model is fetched from the registry (building it on first
+// use); a full shard evicts its least-recently-used session to make room.
+// Minted ids already in use — locally, or in a state store that outlived
+// an earlier process — are skipped, never adopted.
 func (m *Manager) Create(profile string, user int64, o Opts) (*Session, error) {
-	return m.createSession(fmt.Sprintf("s-%d", m.nextID.Add(1)), profile, user, o)
+	for {
+		s, err := m.CreateWithID(fmt.Sprintf("s-%d", m.nextID.Add(1)), profile, user, o)
+		if !errors.Is(err, ErrExists) {
+			return s, err
+		}
+	}
 }
 
 // ErrExists marks a CreateWithID for an id already in use → 409.
@@ -278,11 +294,6 @@ func (m *Manager) CreateWithID(id, profile string, user int64, o Opts) (*Session
 			return nil, ErrExists
 		}
 	}
-	return m.createSession(id, profile, user, o)
-}
-
-// createSession is the shared create path behind Create and CreateWithID.
-func (m *Manager) createSession(id, profile string, user int64, o Opts) (*Session, error) {
 	if m.shutdown.Load() {
 		return nil, ErrShutdown
 	}
@@ -538,10 +549,12 @@ func (m *Manager) EvictExpired() int {
 	return int(m.metrics.SessionsEvicted.Load() - before)
 }
 
-// Classify routes one classify round for a session through the bounded
-// queue: it looks the session up (refreshing its LRU position), enqueues
-// the work, and waits for the result or the context deadline. A full queue
-// fails fast with ErrSaturated.
+// Classify runs one classify round for a session on the calling goroutine:
+// it looks the session up (refreshing its LRU position), waits for a running
+// slot, and classifies. With every slot busy the caller waits in a bounded
+// line; a full line fails fast with ErrSaturated, and a ctx that ends while
+// the caller waits returns ctx.Err(). A round either runs to completion and
+// returns its result, or fails before it touches the session.
 func (m *Manager) Classify(ctx context.Context, id string, inputs []SensorInput) (ClassifyResult, error) {
 	if m.shutdown.Load() {
 		return ClassifyResult{}, ErrShutdown
@@ -555,31 +568,55 @@ func (m *Manager) Classify(ctx context.Context, id string, inputs []SensorInput)
 		m.metrics.RequestsShed.Add(1)
 		return ClassifyResult{}, ErrSaturated
 	}
-	type outcome struct {
-		res ClassifyResult
-		err error
+	if err := m.admit(ctx); err != nil {
+		return ClassifyResult{}, err
 	}
-	done := make(chan outcome, 1)
-	if !m.queue.submit(func() {
-		if d := m.pressureDelayNs.Load(); d > 0 {
-			time.Sleep(time.Duration(d))
-		}
-		res, err := s.Classify(inputs)
-		m.metrics.RequestsDone.Add(1)
-		done <- outcome{res, err}
-	}) {
-		m.metrics.RequestsShed.Add(1)
-		return ClassifyResult{}, ErrSaturated
-	}
+	defer m.release()
 	m.metrics.RequestsAccepted.Add(1)
-	select {
-	case out := <-done:
-		return out.res, out.err
-	case <-ctx.Done():
-		// The job may still run (accepted work always completes); only
-		// this waiter gives up.
-		return ClassifyResult{}, ctx.Err()
+	if d := m.pressureDelayNs.Load(); d > 0 {
+		time.Sleep(time.Duration(d))
 	}
+	res, err := s.Classify(inputs)
+	m.metrics.RequestsDone.Add(1)
+	return res, err
+}
+
+// admit takes a running slot for one round, waiting in line while every
+// slot is busy. It fails with ErrShutdown once Close has begun, ErrSaturated
+// when the line is full, or ctx.Err() when ctx ends first. On success the
+// caller must release the slot.
+func (m *Manager) admit(ctx context.Context) error {
+	m.admitMu.RLock()
+	if m.shutdown.Load() {
+		m.admitMu.RUnlock()
+		return ErrShutdown
+	}
+	m.rounds.Add(1)
+	m.admitMu.RUnlock()
+	select {
+	case m.slots <- struct{}{}:
+		return nil
+	default:
+	}
+	defer m.waiting.Add(-1)
+	if m.waiting.Add(1) > int64(m.cfg.QueueDepth) {
+		m.rounds.Done()
+		m.metrics.RequestsShed.Add(1)
+		return ErrSaturated
+	}
+	select {
+	case m.slots <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		m.rounds.Done()
+		return ctx.Err()
+	}
+}
+
+// release frees the running slot admit took.
+func (m *Manager) release() {
+	<-m.slots
+	m.rounds.Done()
 }
 
 // Registry exposes the model registry (e.g. for warm-up at startup).
@@ -605,7 +642,7 @@ func (m *Manager) Snapshot() MetricsSnapshot {
 		RequestsAccepted: m.metrics.RequestsAccepted.Load(),
 		RequestsShed:     m.metrics.RequestsShed.Load(),
 		RequestsDone:     m.metrics.RequestsDone.Load(),
-		QueueDepth:       m.queue.depth(),
+		QueueDepth:       int(m.waiting.Load()),
 		WindowsBatched:   m.metrics.WindowsBatched.Load(),
 		BatchFlushes:     m.metrics.BatchFlushes.Load(),
 		SessionsRestored: m.metrics.SessionsRestored.Load(),
@@ -633,16 +670,19 @@ func (m *Manager) Telemetry() obs.Telemetry {
 	return agg
 }
 
-// Close stops accepting new sessions and classifications, drains every
-// queued job (accepted work completes), and waits for the workers to
-// finish — the SIGTERM half of graceful shutdown. The queue must drain
-// before the batchers stop: in-flight classify jobs may be waiting on a
-// batched score, so the batchers outlive the last worker.
+// Close stops accepting new sessions and classifications and waits for
+// every admitted round — running, or waiting for a slot — to finish: the
+// SIGTERM half of graceful shutdown. The rounds must finish before the
+// batchers stop: a running round may be waiting on a batched score, so the
+// batchers outlive the last round.
 func (m *Manager) Close() {
-	if m.shutdown.Swap(true) {
+	m.admitMu.Lock()
+	closed := m.shutdown.Swap(true)
+	m.admitMu.Unlock()
+	if closed {
 		return
 	}
-	m.queue.close()
+	m.rounds.Wait()
 	if m.batchers != nil {
 		m.batchers.close()
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"origin/internal/experiments"
 	"origin/internal/schedule"
 	"origin/internal/synth"
+	"origin/internal/tensor"
 )
 
 // tinyModel builds a deterministic serving model without training. It is
@@ -114,33 +116,150 @@ func TestManagerTTLEviction(t *testing.T) {
 	}
 }
 
-// prop: when the queue is saturated, Classify sheds with ErrSaturated
-// instead of queueing, and the shed counter moves.
-func TestManagerClassifySheds(t *testing.T) {
-	m := NewManager(Config{Registry: tinyRegistry(), QueueDepth: 1, Workers: 1})
+// blockingScorer parks the round that scores through it: it announces the
+// round on started, then holds it (and its running slot) until release
+// closes.
+type blockingScorer struct {
+	started chan<- struct{}
+	release <-chan struct{}
+}
+
+func (b blockingScorer) scoreWindows(sensors []int, _ []*tensor.Tensor) []windowScore {
+	b.started <- struct{}{}
+	<-b.release
+	return make([]windowScore, len(sensors))
+}
+
+// holdSlot creates a session on m and starts a round on it whose scorer
+// blocks, returning once that round holds its running slot. release lets the
+// round finish; the test's cleanup releases it and waits for it to return.
+func holdSlot(t *testing.T, m *Manager) (s *Session, release func()) {
+	t.Helper()
 	s, err := m.Create("MHEALTH", 1, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	started := make(chan struct{})
-	release := make(chan struct{})
-	// Occupy the single worker, then fill the depth-1 buffer.
-	if !m.queue.submit(func() { close(started); <-release }) {
-		t.Fatal("blocker rejected")
-	}
+	started, unblock, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	s.score = blockingScorer{started: started, release: unblock}
+	window := []SensorInput{{Sensor: 0, Window: tensor.New(synth.Channels, s.Model().Window)}}
+	go func() {
+		defer close(done)
+		if _, err := m.Classify(context.Background(), s.ID(), window); err != nil {
+			t.Errorf("blocking round: %v", err)
+		}
+	}()
 	<-started
-	if !m.queue.submit(func() {}) {
-		t.Fatal("filler rejected")
+	var once sync.Once
+	release = func() { once.Do(func() { close(unblock) }) }
+	t.Cleanup(func() { release(); <-done })
+	return s, release
+}
+
+// waitQueueDepth spins until n callers wait for a running slot. The rounds it
+// watches are parked on channels, so the gauge settles promptly.
+func waitQueueDepth(t *testing.T, m *Manager, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for m.Snapshot().QueueDepth != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("QueueDepth = %d, want %d", m.Snapshot().QueueDepth, n)
+		}
+		runtime.Gosched()
 	}
-	_, err = m.Classify(context.Background(), s.ID(), nil)
-	if !errors.Is(err, ErrSaturated) {
-		t.Fatalf("Classify on saturated queue: err=%v, want ErrSaturated", err)
+}
+
+// prop: with the single slot busy and the waiting line full, Classify sheds
+// with ErrSaturated instead of queueing, and the shed counter moves.
+func TestManagerClassifySheds(t *testing.T) {
+	m := NewManager(Config{Registry: tinyRegistry(), QueueDepth: 1, Workers: 1})
+	s, release := holdSlot(t, m)
+	waiter := make(chan error)
+	go func() {
+		_, err := m.Classify(context.Background(), s.ID(), nil)
+		waiter <- err
+	}()
+	waitQueueDepth(t, m, 1)
+	if _, err := m.Classify(context.Background(), s.ID(), nil); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("Classify with the line full: err=%v, want ErrSaturated", err)
 	}
 	if snap := m.Snapshot(); snap.RequestsShed != 1 {
 		t.Errorf("RequestsShed = %d, want 1", snap.RequestsShed)
 	}
-	close(release)
+	release()
+	if err := <-waiter; err != nil {
+		t.Errorf("waiting round: %v", err)
+	}
 	m.Close()
+}
+
+// prop: a full line sheds instead of blocking, Close waits for every
+// admitted round (running or waiting) before returning, and rounds after
+// Close are refused.
+func TestQueueShedAndDrain(t *testing.T) {
+	m := NewManager(Config{Registry: tinyRegistry(), QueueDepth: 2, Workers: 1})
+	s, release := holdSlot(t, m)
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := m.Classify(context.Background(), s.ID(), nil); err != nil {
+				t.Errorf("waiting round: %v", err)
+			}
+		}()
+	}
+	waitQueueDepth(t, m, 2)
+	if _, err := m.Classify(context.Background(), s.ID(), nil); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("Classify past the line: err=%v, want ErrSaturated", err)
+	}
+
+	closed := make(chan struct{})
+	go func() { m.Close(); close(closed) }()
+	release()
+	<-closed
+	if s.Slot() != 3 {
+		t.Fatalf("session ran %d rounds by Close, want 3 (admitted rounds must complete)", s.Slot())
+	}
+	if snap := m.Snapshot(); snap.RequestsAccepted != 3 || snap.RequestsDone != 3 || snap.RequestsShed != 1 {
+		t.Fatalf("snapshot = %+v, want accepted=done=3 shed=1", snap)
+	}
+	wg.Wait()
+	if _, err := m.Classify(context.Background(), s.ID(), nil); !errors.Is(err, ErrShutdown) {
+		t.Fatalf("Classify after Close: err=%v, want ErrShutdown", err)
+	}
+}
+
+func TestQueueCloseIdempotent(t *testing.T) {
+	m := NewManager(Config{Registry: tinyRegistry(), QueueDepth: 1, Workers: 2})
+	m.Close()
+	m.Close()
+}
+
+// prop: a caller whose ctx ends while it waits for a slot gets ctx.Err()
+// and its round never runs — the session does not advance behind the back
+// of a caller that gave up.
+func TestManagerClassifyCancelWhileWaiting(t *testing.T) {
+	m := NewManager(Config{Registry: tinyRegistry(), QueueDepth: 1, Workers: 1})
+	s, release := holdSlot(t, m)
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan error)
+	go func() {
+		_, err := m.Classify(ctx, s.ID(), nil)
+		waiter <- err
+	}()
+	waitQueueDepth(t, m, 1)
+	cancel()
+	if err := <-waiter; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter: err=%v, want context.Canceled", err)
+	}
+	release()
+	m.Close()
+	if got := s.Slot(); got != 1 {
+		t.Errorf("session at slot %d after the blocker, want 1 (the abandoned round must not run)", got)
+	}
+	if snap := m.Snapshot(); snap.RequestsAccepted != 1 || snap.RequestsDone != 1 {
+		t.Errorf("accepted=%d done=%d, want 1 and 1 (only the blocker ran)", snap.RequestsAccepted, snap.RequestsDone)
+	}
 }
 
 // prop: Close drains — every accepted classify completes, and requests

@@ -187,3 +187,51 @@ func TestManagerCreateWithIDConflictsAndDelete(t *testing.T) {
 		t.Fatalf("double delete: err = %v, want ErrNotFound", err)
 	}
 }
+
+// prop: a minted id never adopts a stored session. A manager started over
+// the state directory an earlier process left behind restarts its id counter
+// at s-1; Create must skip the stored ids instead of handing the new wearer
+// the old wearer's session.
+func TestManagerCreateSkipsStoredIDs(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Manager {
+		st, err := NewFileStateStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewManager(Config{Registry: tinyRegistry(), Workers: 1, State: st})
+	}
+	a := open()
+	old, err := a.Create("MHEALTH", 7, Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		driveRound(t, a, old.ID(), i)
+	}
+	a.Close()
+
+	b := open()
+	defer b.Close()
+	fresh, err := b.Create("MHEALTH", 99, Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.ID() == old.ID() {
+		t.Fatalf("minted id %q collides with the stored session", fresh.ID())
+	}
+	got, err := b.Get(fresh.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := got.Info(); info.User != 99 || info.Slots != 0 {
+		t.Fatalf("new session %s = user %d at slot %d, want user 99 at slot 0", info.ID, info.User, info.Slots)
+	}
+	stored, err := b.Get(old.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := stored.Info(); info.User != 7 || info.Slots != 3 {
+		t.Fatalf("stored session %s = user %d at slot %d, want user 7 at slot 3", info.ID, info.User, info.Slots)
+	}
+}

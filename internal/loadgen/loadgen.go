@@ -280,19 +280,6 @@ func (st *Stream) Next(k int) serve.ClassifyRequest {
 	return req
 }
 
-// profileByName resolves the two served profiles without importing the
-// experiments package.
-func profileByName(name string) (*synth.Profile, error) {
-	switch name {
-	case "MHEALTH":
-		return synth.MHEALTHProfile(), nil
-	case "PAMAP2":
-		return synth.PAMAP2Profile(), nil
-	default:
-		return nil, fmt.Errorf("loadgen: unknown profile %q", name)
-	}
-}
-
 // userResult is one user goroutine's tally.
 type userResult struct {
 	trace       SessionTrace
@@ -353,7 +340,7 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: 30 * time.Second}
 	}
-	profile, err := profileByName(cfg.Profile)
+	profile, err := synth.ProfileByName(cfg.Profile)
 	if err != nil {
 		return nil, err
 	}

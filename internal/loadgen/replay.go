@@ -21,7 +21,7 @@ import (
 // VoteFlip, StreamHop), or the regenerated payloads differ from the sent
 // ones. newModel must build the model the server serves for cfg.Profile.
 func SerialReplay(cfg *Config, newModel func(profile string) (*fleet.Model, error)) ([][]int, error) {
-	profile, err := profileByName(cfg.Profile)
+	profile, err := synth.ProfileByName(cfg.Profile)
 	if err != nil {
 		return nil, err
 	}

@@ -130,7 +130,7 @@ func Run(spec *Spec, h Handles) (*Result, error) {
 			}
 		}
 	}
-	profile, err := profileByName(spec.Profile)
+	profile, err := synth.ProfileByName(spec.Profile)
 	if err != nil {
 		return nil, err
 	}

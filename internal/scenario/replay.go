@@ -6,6 +6,7 @@ import (
 	"origin/internal/fleet"
 	"origin/internal/loadgen"
 	"origin/internal/serve"
+	"origin/internal/synth"
 )
 
 // SerialReplay executes the spec's lineages one at a time with no network,
@@ -21,7 +22,7 @@ func SerialReplay(spec *Spec, newModel func(profile string) (*fleet.Model, error
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	profile, err := profileByName(spec.Profile)
+	profile, err := synth.ProfileByName(spec.Profile)
 	if err != nil {
 		return nil, err
 	}

@@ -69,7 +69,7 @@ func (w *ChaosWindow) conn(seed int64) fault.ConnChaos {
 }
 
 // PressureWindow is a per-phase serve-side stress window, applied through
-// fleet.Manager.SetPressure at phase entry: slow workers and forced shed.
+// fleet.Manager.SetPressure at phase entry: slow rounds and forced shed.
 // Shed rounds are retried (HTTP 429 loop client-side, saturation loop
 // server-side on the stream front), so pressure stretches latency and burns
 // the shed counter without ever losing a round.
@@ -162,19 +162,6 @@ type Spec struct {
 	Phases          []Phase `json:"phases"`
 }
 
-// profileByName resolves the served profiles (scenario's own copy; the
-// loadgen one is unexported).
-func profileByName(name string) (*synth.Profile, error) {
-	switch name {
-	case "MHEALTH":
-		return synth.MHEALTHProfile(), nil
-	case "PAMAP2":
-		return synth.PAMAP2Profile(), nil
-	default:
-		return nil, fmt.Errorf("scenario: unknown profile %q", name)
-	}
-}
-
 // Validate normalises defaults in place and reports the first invalid
 // field. It is called by Run and SerialReplay; call it directly after
 // assembling a Spec by hand.
@@ -182,7 +169,7 @@ func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: spec needs a name")
 	}
-	p, err := profileByName(s.Profile)
+	p, err := synth.ProfileByName(s.Profile)
 	if err != nil {
 		return err
 	}
@@ -338,7 +325,7 @@ func mixFor(p *synth.Profile, weights map[string]float64) []float64 {
 // exercising every axis (population curve, mix curve, churn, drift, forced
 // shed, kill-everything chaos, resume).
 func DayScenario(profileName string, seed int64) (*Spec, error) {
-	p, err := profileByName(profileName)
+	p, err := synth.ProfileByName(profileName)
 	if err != nil {
 		return nil, err
 	}
@@ -391,7 +378,7 @@ func CalmScenario(profileName string, seed int64) (*Spec, error) {
 			{Name: "evening", Users: 3, Rounds: 8, Churn: 2, CycleConns: true},
 		},
 	}
-	if _, err := profileByName(profileName); err != nil {
+	if _, err := synth.ProfileByName(profileName); err != nil {
 		return nil, err
 	}
 	if err := s.Validate(); err != nil {
@@ -409,7 +396,7 @@ func CalmScenario(profileName string, seed int64) (*Spec, error) {
 // against a cluster of at least two replicas (three in CI, so a kill still
 // leaves a quorum of survivors to rebalance across).
 func ShardScenario(profileName string, seed int64) (*Spec, error) {
-	if _, err := profileByName(profileName); err != nil {
+	if _, err := synth.ProfileByName(profileName); err != nil {
 		return nil, err
 	}
 	s := &Spec{

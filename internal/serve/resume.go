@@ -126,24 +126,18 @@ func (r *resumeCache) attach(session, token string, sensors, window, curSlot int
 						st.owner = conn
 						st.done = make(chan struct{})
 						r.entries[session] = st
-						if r.metrics != nil {
-							r.metrics.StreamStoreResumes.Add(1)
-						}
+						r.metrics.StreamStoreResumes.Add(1)
 						return st, true, nil
 					}
 				}
-				if r.metrics != nil {
-					r.metrics.StreamResumeMisses.Add(1)
-				}
+				r.metrics.StreamResumeMisses.Add(1)
 				return nil, false, fmt.Errorf("no resumable state for session")
 			}
 			r.parked.Remove(e.elem)
 			e.elem = nil
 			e.owner = conn
 			e.done = make(chan struct{})
-			if r.metrics != nil {
-				r.metrics.StreamResumes.Add(1)
-			}
+			r.metrics.StreamResumes.Add(1)
 			return e, true, nil
 		}
 		// A previous connection still owns the state (half-open, or its
@@ -166,9 +160,7 @@ func (r *resumeCache) release(st *streamState, keep bool) {
 		if keep && r.ttl > 0 {
 			st.parkedAt = r.now()
 			st.elem = r.parked.PushBack(st)
-			if r.metrics != nil {
-				r.metrics.StreamParked.Add(1)
-			}
+			r.metrics.StreamParked.Add(1)
 			for r.cap > 0 && r.parked.Len() > r.cap {
 				r.expireLocked(r.parked.Front().Value.(*streamState))
 			}
@@ -197,9 +189,7 @@ func (r *resumeCache) sweepLocked() {
 
 func (r *resumeCache) expireLocked(st *streamState) {
 	r.removeLocked(st)
-	if r.metrics != nil {
-		r.metrics.StreamExpired.Add(1)
-	}
+	r.metrics.StreamExpired.Add(1)
 }
 
 func (r *resumeCache) removeLocked(st *streamState) {

@@ -18,14 +18,15 @@ type Config struct {
 	Manager *fleet.Manager
 	// RequestTimeout bounds one classify round end to end (default 10s).
 	RequestTimeout time.Duration
-	// MaxBodyBytes bounds request bodies (default 8 MiB — three raw IMU
-	// windows are ~10 KiB of JSON, so this is generous headroom, not a
-	// working size).
-	MaxBodyBytes int64
-	// Metrics receives parse-cost instrumentation (optional; share one
-	// instance with a StreamServer so /metrics covers both fronts).
+	// Metrics receives parse-cost instrumentation (nil allocates a private
+	// one; share one instance with a StreamServer so /metrics covers both
+	// fronts).
 	Metrics *Metrics
 }
+
+// maxBodyBytes bounds request bodies: three raw IMU windows are ~10 KiB of
+// JSON, so 8 MiB is generous headroom, not a working size.
+const maxBodyBytes = 8 << 20
 
 // Server is the HTTP front of a fleet.Manager.
 type Server struct {
@@ -41,8 +42,8 @@ func New(cfg Config) *Server {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 10 * time.Second
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 8 << 20
+	if cfg.Metrics == nil {
+		cfg.Metrics = &Metrics{}
 	}
 	s := &Server{cfg: cfg, mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /v1/sessions", s.handleCreate)
@@ -56,7 +57,7 @@ func New(cfg Config) *Server {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	s.mux.ServeHTTP(w, r)
 }
 
@@ -79,7 +80,7 @@ func writeError(w http.ResponseWriter, err error) {
 		status = http.StatusConflict
 	case errors.Is(err, fleet.ErrSaturated):
 		// Shed load: tell the client to back off briefly instead of
-		// letting the queue grow without bound.
+		// letting the waiting line grow without bound.
 		w.Header().Set("Retry-After", "1")
 		status = http.StatusTooManyRequests
 	case errors.Is(err, fleet.ErrShutdown):
@@ -229,27 +230,26 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("sessions_created_total", "Sessions opened.", snap.SessionsCreated)
 	counter("sessions_evicted_total", "Sessions evicted by LRU/TTL.", snap.SessionsEvicted)
 	counter("sessions_closed_total", "Sessions closed explicitly.", snap.SessionsClosed)
-	counter("requests_accepted_total", "Classify requests admitted to the queue.", snap.RequestsAccepted)
-	counter("requests_shed_total", "Classify requests shed at queue saturation.", snap.RequestsShed)
+	counter("requests_accepted_total", "Classify rounds that took a running slot.", snap.RequestsAccepted)
+	counter("requests_shed_total", "Classify requests shed with every slot busy and the waiting line full (or by forced shed).", snap.RequestsShed)
 	counter("requests_done_total", "Classify requests completed.", snap.RequestsDone)
-	gauge("queue_depth", "Queued (not yet started) classify jobs.", int64(snap.QueueDepth))
+	gauge("queue_depth", "Classify callers waiting for a running slot.", int64(snap.QueueDepth))
 	counter("windows_batched_total", "Windows scored through the micro-batcher.", snap.WindowsBatched)
 	counter("batch_flushes_total", "Micro-batch inference flushes.", snap.BatchFlushes)
 	counter("sessions_restored_total", "Sessions rebuilt from the shared state store (migrations absorbed).", snap.SessionsRestored)
-	if m := s.cfg.Metrics; m != nil {
-		counter("parse_nanos_total", "Request-decode time (JSON or stream frames) in nanoseconds.", m.ParseNanos.Load())
-		counter("parse_rounds_total", "Classify rounds whose request decode was timed.", m.ParseRounds.Load())
-		counter("stream_conns_total", "Stream connections accepted.", m.StreamConns.Load())
-		counter("stream_frames_total", "Stream frames ingested.", m.StreamFrames.Load())
-		counter("stream_bytes_total", "Stream uplink bytes ingested (payload plus envelope).", m.StreamBytes.Load())
-		counter("stream_rejects_total", "Stream frames or rounds rejected (protocol errors, shed retries).", m.StreamRejects.Load())
-		counter("stream_rounds_total", "Classify rounds completed over the stream front.", m.StreamRounds.Load())
-		counter("stream_resumes_total", "Stream sessions resumed after a disconnect.", m.StreamResumes.Load())
-		counter("stream_resume_misses_total", "Hello-with-token lookups that found no resumable state.", m.StreamResumeMisses.Load())
-		counter("stream_store_resumes_total", "Stream resumes served from the shared state store (migrated sessions).", m.StreamStoreResumes.Load())
-		counter("stream_parked_total", "Stream states parked on disconnect awaiting resume.", m.StreamParked.Load())
-		counter("stream_resume_expired_total", "Parked stream states dropped by TTL or cap.", m.StreamExpired.Load())
-		counter("stream_result_flushes_total", "Downlink writes carrying one or more coalesced result frames.", m.StreamResultFlushes.Load())
-		counter("stream_heartbeats_total", "Server heartbeat frames written.", m.StreamHeartbeats.Load())
-	}
+	m := s.cfg.Metrics
+	counter("parse_nanos_total", "Request-decode time (JSON or stream frames) in nanoseconds.", m.ParseNanos.Load())
+	counter("parse_rounds_total", "Classify rounds whose request decode was timed.", m.ParseRounds.Load())
+	counter("stream_conns_total", "Stream connections accepted.", m.StreamConns.Load())
+	counter("stream_frames_total", "Stream frames ingested.", m.StreamFrames.Load())
+	counter("stream_bytes_total", "Stream uplink bytes ingested (payload plus envelope).", m.StreamBytes.Load())
+	counter("stream_rejects_total", "Stream frames or rounds rejected (protocol errors, shed retries).", m.StreamRejects.Load())
+	counter("stream_rounds_total", "Classify rounds completed over the stream front.", m.StreamRounds.Load())
+	counter("stream_resumes_total", "Stream sessions resumed after a disconnect.", m.StreamResumes.Load())
+	counter("stream_resume_misses_total", "Hello-with-token lookups that found no resumable state.", m.StreamResumeMisses.Load())
+	counter("stream_store_resumes_total", "Stream resumes served from the shared state store (migrated sessions).", m.StreamStoreResumes.Load())
+	counter("stream_parked_total", "Stream states parked on disconnect awaiting resume.", m.StreamParked.Load())
+	counter("stream_resume_expired_total", "Parked stream states dropped by TTL or cap.", m.StreamExpired.Load())
+	counter("stream_result_flushes_total", "Downlink writes carrying one or more coalesced result frames.", m.StreamResultFlushes.Load())
+	counter("stream_heartbeats_total", "Server heartbeat frames written.", m.StreamHeartbeats.Load())
 }

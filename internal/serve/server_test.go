@@ -192,10 +192,11 @@ func TestHealthz(t *testing.T) {
 // prop: oversized bodies are rejected, not buffered without bound.
 func TestBodyLimit(t *testing.T) {
 	mgr := fleet.NewManager(fleet.Config{Registry: fleettest.NewRegistry()})
-	ts := httptest.NewServer(serve.New(serve.Config{Manager: mgr, MaxBodyBytes: 256}))
+	ts := httptest.NewServer(serve.New(serve.Config{Manager: mgr}))
 	t.Cleanup(func() { ts.Close(); mgr.Close() })
 
-	huge := `{"profile":"MHEALTH","pad":"` + strings.Repeat("x", 1024) + `"}`
+	// Just past the fixed 8 MiB body cap.
+	huge := `{"profile":"MHEALTH","pad":"` + strings.Repeat("x", 8<<20) + `"}`
 	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)

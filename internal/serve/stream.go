@@ -25,9 +25,9 @@ import (
 // (see the format comment in internal/comm/stream.go), and the server owns
 // the sliding-window state — the client sends each sample once and the
 // overlap between consecutive windows is reconstructed host-side from a
-// per-(session, sensor) ring buffer. Completed rounds flow through the same
-// fleet.Manager queue (and micro-batcher) as HTTP traffic, and results are
-// pushed back as binary frames on the same connection.
+// per-(session, sensor) ring buffer. Completed rounds go through the same
+// fleet.Manager admission (and micro-batcher) as HTTP traffic, and results
+// are pushed back as binary frames on the same connection.
 //
 // Determinism: a connection is serviced by one goroutine, a session's rounds
 // arrive in connection order, and Manager.Classify serialises per session —
@@ -71,9 +71,6 @@ type Metrics struct {
 
 // noteParse records the decode cost of one classify round.
 func (m *Metrics) noteParse(d time.Duration) {
-	if m == nil {
-		return
-	}
 	m.ParseNanos.Add(d.Nanoseconds())
 	m.ParseRounds.Add(1)
 }
@@ -82,8 +79,9 @@ func (m *Metrics) noteParse(d time.Duration) {
 type StreamConfig struct {
 	// Manager is the fleet session service (required).
 	Manager *fleet.Manager
-	// Metrics receives stream/parse instrumentation (optional; share one
-	// instance with the HTTP Server so /metrics covers both fronts).
+	// Metrics receives stream/parse instrumentation (nil allocates a private
+	// one; share one instance with the HTTP Server so /metrics covers both
+	// fronts).
 	Metrics *Metrics
 	// RoundTimeout bounds one classify round end to end (default 10s).
 	RoundTimeout time.Duration
@@ -133,6 +131,9 @@ func NewStreamServer(cfg StreamConfig) *StreamServer {
 	}
 	if cfg.ResumeCap <= 0 {
 		cfg.ResumeCap = 4096
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = &Metrics{}
 	}
 	return &StreamServer{
 		cfg:    cfg,
@@ -262,9 +263,7 @@ func sanitizeID(s string) string {
 // and a resume would classify from a corrupt signal.
 func (s *StreamServer) handle(conn net.Conn) {
 	defer conn.Close()
-	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.StreamConns.Add(1)
-	}
+	s.cfg.Metrics.StreamConns.Add(1)
 	w := &connWriter{conn: conn}
 	br := bufio.NewReaderSize(conn, 32<<10)
 
@@ -351,10 +350,6 @@ func (s *StreamServer) handle(conn net.Conn) {
 	// Heartbeats at IdleTimeout/3: three missed beats fit inside the peer's
 	// own idle window, and a half-open connection dies here from the failed
 	// write instead of pinning the handler until the read deadline.
-	var heartbeats, flushes *atomic.Int64
-	if m := s.cfg.Metrics; m != nil {
-		heartbeats, flushes = &m.StreamHeartbeats, &m.StreamResultFlushes
-	}
 	hbStop := make(chan struct{})
 	defer close(hbStop)
 	if hb, err := comm.EncodeHeartbeat(nil); err == nil {
@@ -366,7 +361,7 @@ func (s *StreamServer) handle(conn net.Conn) {
 				case <-hbStop:
 					return
 				case <-t.C:
-					if err := w.write(hb, streamCloseTimeout, heartbeats); err != nil {
+					if err := w.write(hb, streamCloseTimeout, &s.cfg.Metrics.StreamHeartbeats); err != nil {
 						conn.Close()
 						return
 					}
@@ -381,7 +376,7 @@ func (s *StreamServer) handle(conn net.Conn) {
 		if len(pending) == 0 {
 			return nil
 		}
-		if err := w.write(pending, streamWriteTimeout, flushes); err != nil {
+		if err := w.write(pending, streamWriteTimeout, &s.cfg.Metrics.StreamResultFlushes); err != nil {
 			return err
 		}
 		pending = pending[:0]
@@ -410,10 +405,8 @@ func (s *StreamServer) handle(conn net.Conn) {
 			return
 		}
 		parseStart := time.Now()
-		if s.cfg.Metrics != nil {
-			s.cfg.Metrics.StreamFrames.Add(1)
-			s.cfg.Metrics.StreamBytes.Add(int64(len(frame.Payload) + comm.StreamEnvelopeOverhead))
-		}
+		s.cfg.Metrics.StreamFrames.Add(1)
+		s.cfg.Metrics.StreamBytes.Add(int64(len(frame.Payload) + comm.StreamEnvelopeOverhead))
 		switch frame.Type {
 		case comm.FrameHeartbeat:
 			continue
@@ -462,9 +455,7 @@ func (s *StreamServer) handle(conn net.Conn) {
 					return
 				}
 			}
-			if s.cfg.Metrics != nil {
-				s.cfg.Metrics.StreamRounds.Add(1)
-			}
+			s.cfg.Metrics.StreamRounds.Add(1)
 			pending, err = comm.EncodeStreamResult(pending, comm.StreamResult{Slot: res.Slot, Class: res.Class})
 			if err != nil {
 				park = false
@@ -496,9 +487,7 @@ func (s *StreamServer) classify(session string, inputs []fleet.SensorInput) (fle
 		case err == nil:
 			return res, nil
 		case errors.Is(err, fleet.ErrSaturated):
-			if s.cfg.Metrics != nil {
-				s.cfg.Metrics.StreamRejects.Add(1)
-			}
+			s.cfg.Metrics.StreamRejects.Add(1)
 			select {
 			case <-ctx.Done():
 				return fleet.ClassifyResult{}, &streamAbort{comm.StreamErrSaturated, "round shed past deadline"}
@@ -517,9 +506,7 @@ func (s *StreamServer) classify(session string, inputs []fleet.SensorInput) (fle
 // must sanitize any client-supplied substring (see sanitizeID) before it
 // lands in msg; the whole-message cap here is only the last line of defense.
 func (s *StreamServer) reject(w *connWriter, code int, msg string) {
-	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.StreamRejects.Add(1)
-	}
+	s.cfg.Metrics.StreamRejects.Add(1)
 	if len(msg) > 256 {
 		msg = msg[:256]
 	}

@@ -204,6 +204,21 @@ func PAMAP2Profile() *Profile {
 	return p
 }
 
+// ProfileNames lists the dataset profiles ProfileByName resolves, in a
+// fixed order suitable for help text.
+func ProfileNames() []string { return []string{"MHEALTH", "PAMAP2"} }
+
+// ProfileByName resolves a dataset profile by its exact name.
+func ProfileByName(name string) (*Profile, error) {
+	switch name {
+	case "MHEALTH":
+		return MHEALTHProfile(), nil
+	case "PAMAP2":
+		return PAMAP2Profile(), nil
+	}
+	return nil, fmt.Errorf("unknown profile %q (want one of %v)", name, ProfileNames())
+}
+
 // User holds per-subject gait parameters. Users perturb every signature
 // multiplicatively, so two users performing the same activity produce
 // systematically different windows — the inter-subject variation the
