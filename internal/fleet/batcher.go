@@ -39,8 +39,8 @@ type scorer interface {
 	scoreWindows(sensors []int, windows []*tensor.Tensor) []windowScore
 }
 
-// directScorer is the unbatched path: borrow one pooled net set and run the
-// single-window Predict per window. Standalone sessions (the facade, replay
+// directScorer is the unbatched path: borrow one pooled net set and score
+// each window as a one-window batch. Standalone sessions (the facade, replay
 // tests) and managers with batching disabled use it.
 type directScorer struct {
 	m *Model
@@ -51,10 +51,19 @@ func (d directScorer) scoreWindows(sensors []int, windows []*tensor.Tensor) []wi
 	nets := d.m.acquireNets()
 	defer d.m.releaseNets(nets)
 	for i, w := range windows {
-		class, probs := nets[sensors[i]].Predict(w)
-		out[i] = windowScore{class: class, conf: probs.Variance()}
+		predictBatch(nets[sensors[i]], w.Reshape(1, synth.Channels, d.m.Window), out[i:i+1])
 	}
 	return out
+}
+
+// predictBatch is the one scoring kernel: it scores a (n, channels, window)
+// batch on net in one forward pass into out, materialising every score
+// before it returns (the probabilities alias the net's scratch).
+func predictBatch(net predictor, batch *tensor.Tensor, out []windowScore) {
+	classes, probs := net.PredictBatch(batch)
+	for i := range out {
+		out[i] = windowScore{class: classes[i], conf: probs.Row(i).Variance()}
+	}
 }
 
 // scoreJob is one window handed to a sensor's batcher.
@@ -159,20 +168,15 @@ func (b *sensorBatcher) flush(pending []scoreJob) {
 	}
 	input := tensor.FromSlice(slab, n, synth.Channels, b.model.Window)
 
-	// Materialise every score, then release the borrowed nets, then demux.
-	// The probs tensor aliases the net's own scratch, and reply sends can
-	// block on slow consumers — holding a pooled net across the demux would
-	// both starve the pool under load and read scratch that another borrower
-	// could be overwriting.
+	// Release the borrowed nets before the demux: reply sends can block on
+	// slow consumers, and a pooled net held across them would starve the
+	// pool under load.
 	if cap(b.scores) < n {
 		b.scores = make([]windowScore, n)
 	}
 	scores := b.scores[:n]
 	nets := b.model.acquireNets()
-	classes, probs := nets[b.sensor].PredictBatch(input)
-	for i := range pending {
-		scores[i] = windowScore{class: classes[i], conf: probs.Row(i).Variance()}
-	}
+	predictBatch(nets[b.sensor], input, scores)
 	b.model.releaseNets(nets)
 	for i, j := range pending {
 		j.reply <- scoredJob{idx: j.idx, score: scores[i]}

@@ -118,7 +118,7 @@ func TestBatchedAndUnbatchedManagersAgree(t *testing.T) {
 					}
 					// Retry shed rounds: determinism must survive load.
 					for {
-						res, err := mgr.Classify(context.Background(), ids[i], inputs)
+						res, err := mgr.Classify(context.Background(), ids[i], inputs, nil)
 						if err == fleet.ErrSaturated {
 							continue
 						}
@@ -206,7 +206,7 @@ func TestQuantizedManagersAgree(t *testing.T) {
 						return
 					}
 					for {
-						res, err := mgr.Classify(context.Background(), ids[i], inputs)
+						res, err := mgr.Classify(context.Background(), ids[i], inputs, nil)
 						if err == fleet.ErrSaturated {
 							continue
 						}

@@ -70,10 +70,10 @@ type Config struct {
 	// State, when non-nil, externalizes session state: the store holds the
 	// authoritative snapshot of every session and this replica's in-memory
 	// sessions become a validated cache over it. Create persists the initial
-	// snapshot, the serving layer persists one snapshot per classified round
-	// (PersistSession), and Get restores from the store whenever it holds a
-	// newer version than local memory — which is how a session migrates to
-	// this replica after a shard-map change or a peer death.
+	// snapshot, Classify persists one snapshot per classified round before
+	// it returns, and Get restores from the store whenever it holds a newer
+	// version than local memory — which is how a session migrates to this
+	// replica after a shard-map change or a peer death.
 	State StateStore
 }
 
@@ -190,14 +190,6 @@ func (m *Manager) SetPressure(p Pressure) error {
 	return nil
 }
 
-// Pressure returns the pressure window currently in force.
-func (m *Manager) Pressure() Pressure {
-	return Pressure{
-		WorkerDelay: time.Duration(m.pressureDelayNs.Load()),
-		ShedEvery:   m.pressureShedEvery.Load(),
-	}
-}
-
 // NewManager builds a manager.
 func NewManager(cfg Config) *Manager {
 	if cfg.Registry == nil {
@@ -279,13 +271,11 @@ var ErrExists = errors.New("session id already exists")
 // CreateWithID opens a session under a caller-chosen id — the router tier
 // assigns ids so a session's placement is a pure function of the id and the
 // ring, independent of which replica minted it. The id must be non-empty,
-// at most 64 bytes, and not already in use (locally or in the state store).
+// at most 64 bytes, and not already in use (locally or in the state store):
+// of concurrent creates for one id, exactly one succeeds.
 func (m *Manager) CreateWithID(id, profile string, user int64, o Opts) (*Session, error) {
 	if id == "" || len(id) > 64 {
 		return nil, fmt.Errorf("%w: session id must be 1..64 bytes", ErrInvalid)
-	}
-	if _, err := m.getLocal(id); err == nil {
-		return nil, ErrExists
 	}
 	if m.cfg.State != nil {
 		if _, _, ok, err := m.cfg.State.Load(id); err != nil {
@@ -305,38 +295,44 @@ func (m *Manager) CreateWithID(id, profile string, user int64, o Opts) (*Session
 	if err != nil {
 		return nil, err
 	}
-	if m.batchers != nil {
-		if sc := m.batchers.scorerFor(model); sc != nil {
-			s.score = sc
-		}
+	if err := m.install(s, false); err != nil {
+		return nil, err
 	}
-	m.install(s, false)
 	m.metrics.SessionsCreated.Add(1)
 	// Persist the slot-0 snapshot so the session is adoptable by another
 	// replica even if this one dies before the first classified round.
 	if m.cfg.State != nil {
-		if err := m.persistLocked(s, nil); err != nil {
+		if err := m.put(s, s.State(nil)); err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
 }
 
-// install links a session into its shard (evicting to make room). replace
-// unlinks any same-id session WITHOUT retiring its telemetry — the incoming
-// session's restored counters already include everything the replaced stale
-// cache entry counted, so merging would double-count.
-func (m *Manager) install(s *Session, replace bool) {
+// install hands a session the manager's micro-batching scorer and links it
+// into its shard (evicting to make room). A same-id session already in the
+// shard fails the install with ErrExists, unless replace is set: then it is
+// unlinked WITHOUT retiring its telemetry — the incoming session's restored
+// counters already include everything the replaced stale cache entry
+// counted, so merging would double-count.
+func (m *Manager) install(s *Session, replace bool) error {
+	if m.batchers != nil {
+		if sc := m.batchers.scorerFor(s.model); sc != nil {
+			s.score = sc
+		}
+	}
 	now := m.cfg.Now().UnixNano()
 	sh := m.shardFor(s.id)
 	sh.mu.Lock()
-	if replace {
-		if old, ok := sh.sessions[s.id]; ok {
-			delete(sh.sessions, old.id)
-			sh.order.Remove(old.lru)
-			old.lru = nil
-			m.active.Add(-1)
+	if old, ok := sh.sessions[s.id]; ok {
+		if !replace {
+			sh.mu.Unlock()
+			return ErrExists
 		}
+		delete(sh.sessions, old.id)
+		sh.order.Remove(old.lru)
+		old.lru = nil
+		m.active.Add(-1)
 	}
 	m.evictExpiredLocked(sh, now)
 	for len(sh.sessions) >= m.perShardCap() {
@@ -347,6 +343,7 @@ func (m *Manager) install(s *Session, replace bool) {
 	sh.sessions[s.id] = s
 	sh.mu.Unlock()
 	m.active.Add(1)
+	return nil
 }
 
 // getLocal returns a session from this replica's memory only, refreshing its
@@ -408,20 +405,18 @@ func (m *Manager) restore(blob []byte) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.batchers != nil {
-		if sc := m.batchers.scorerFor(model); sc != nil {
-			s.score = sc
-		}
+	if err := m.install(s, true); err != nil {
+		return nil, err
 	}
-	m.install(s, true)
 	m.metrics.SessionsRestored.Add(1)
 	return s, nil
 }
 
 // PersistSession writes the session's current snapshot (core state plus the
-// given stream attachment) to the state store at version = slot. A no-op
-// without a store. The serving layer calls this once per classified round,
-// after the classify and before the result is released to the client.
+// given stream attachment) to the state store at version = slot, outside
+// any round. A no-op without a store. The stream front calls it once per
+// (re)connect so the resume token is stored before the client holds it;
+// classified rounds are written by Classify itself.
 func (m *Manager) PersistSession(id string, attachment []byte) error {
 	if m.cfg.State == nil {
 		return nil
@@ -430,17 +425,22 @@ func (m *Manager) PersistSession(id string, attachment []byte) error {
 	if err != nil {
 		return err
 	}
-	return m.persistLocked(s, attachment)
+	return m.put(s, s.State(attachment))
 }
 
-// persistLocked encodes and stores one session snapshot. The name records
-// the invariant: the caller must be the session's single serving goroutine
-// (the round lock), so slot cannot advance between State and Put.
-func (m *Manager) persistLocked(s *Session, attachment []byte) error {
-	st := s.State(attachment)
+// put writes one snapshot of s to the state store, unless Delete has closed
+// s: then nothing is written and the caller gets ErrNotFound. The write runs
+// under s.wmu and under no shard lock, so Delete waits out a write in flight
+// and the entry it removes stays removed.
+func (m *Manager) put(s *Session, st SessionState) error {
 	blob, err := EncodeSessionState(st)
 	if err != nil {
 		return err
+	}
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if s.deleted {
+		return ErrNotFound
 	}
 	return m.cfg.State.Put(st.ID, int64(st.Slot), blob)
 }
@@ -457,17 +457,13 @@ func (m *Manager) StoredState(id string) (SessionState, bool, error) {
 		return SessionState{}, false, err
 	}
 	st, err := DecodeSessionState(blob)
-	if err != nil {
-		return SessionState{}, false, err
-	}
-	return st, true, nil
+	return st, err == nil, err
 }
 
-// HasStore reports whether session state is externalized.
-func (m *Manager) HasStore() bool { return m.cfg.State != nil }
-
 // Delete closes a session explicitly, retiring its telemetry and removing
-// its stored snapshot (so no replica can resurrect it).
+// its stored snapshot (so no replica can resurrect it). A round of the
+// session whose store write is in flight finishes that write first; a round
+// that has not started its write yet writes nothing.
 func (m *Manager) Delete(id string) error {
 	sh := m.shardFor(id)
 	sh.mu.Lock()
@@ -476,19 +472,18 @@ func (m *Manager) Delete(id string) error {
 		m.removeLocked(sh, s)
 	}
 	sh.mu.Unlock()
+	if ok {
+		s.wmu.Lock()
+		s.deleted = true
+		s.wmu.Unlock()
+	}
 	if m.cfg.State != nil {
-		stored := false
 		if !ok {
-			_, _, stored, _ = m.cfg.State.Load(id)
+			_, _, ok, _ = m.cfg.State.Load(id)
 		}
 		if err := m.cfg.State.Delete(id); err != nil {
 			return err
 		}
-		if !ok && !stored {
-			return ErrNotFound
-		}
-		m.metrics.SessionsClosed.Add(1)
-		return nil
 	}
 	if !ok {
 		return ErrNotFound
@@ -553,9 +548,14 @@ func (m *Manager) EvictExpired() int {
 // it looks the session up (refreshing its LRU position), waits for a running
 // slot, and classifies. With every slot busy the caller waits in a bounded
 // line; a full line fails fast with ErrSaturated, and a ctx that ends while
-// the caller waits returns ctx.Err(). A round either runs to completion and
-// returns its result, or fails before it touches the session.
-func (m *Manager) Classify(ctx context.Context, id string, inputs []SensorInput) (ClassifyResult, error) {
+// the caller waits returns ctx.Err(); such a round never touches the session.
+//
+// With a state store, Classify is the one writer of a round's snapshot: it
+// takes the snapshot in the round's own session-lock hold and puts it before
+// returning. attach, when non-nil, builds the front's attachment for it from
+// the round's result (called only with a store). A failed put fails the
+// call; so does a Delete of the session that beat the put (ErrNotFound).
+func (m *Manager) Classify(ctx context.Context, id string, inputs []SensorInput, attach func(ClassifyResult) []byte) (ClassifyResult, error) {
 	if m.shutdown.Load() {
 		return ClassifyResult{}, ErrShutdown
 	}
@@ -576,9 +576,22 @@ func (m *Manager) Classify(ctx context.Context, id string, inputs []SensorInput)
 	if d := m.pressureDelayNs.Load(); d > 0 {
 		time.Sleep(time.Duration(d))
 	}
-	res, err := s.Classify(inputs)
+	var st *SessionState
+	if m.cfg.State != nil {
+		st = new(SessionState)
+	}
+	res, err := s.classify(inputs, st)
 	m.metrics.RequestsDone.Add(1)
-	return res, err
+	if err != nil || st == nil {
+		return res, err
+	}
+	if attach != nil {
+		st.Attachment = attach(res)
+	}
+	if err := m.put(s, *st); err != nil {
+		return ClassifyResult{}, err
+	}
+	return res, nil
 }
 
 // admit takes a running slot for one round, waiting in line while every

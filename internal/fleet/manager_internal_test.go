@@ -144,7 +144,7 @@ func holdSlot(t *testing.T, m *Manager) (s *Session, release func()) {
 	window := []SensorInput{{Sensor: 0, Window: tensor.New(synth.Channels, s.Model().Window)}}
 	go func() {
 		defer close(done)
-		if _, err := m.Classify(context.Background(), s.ID(), window); err != nil {
+		if _, err := m.Classify(context.Background(), s.ID(), window, nil); err != nil {
 			t.Errorf("blocking round: %v", err)
 		}
 	}()
@@ -175,11 +175,11 @@ func TestManagerClassifySheds(t *testing.T) {
 	s, release := holdSlot(t, m)
 	waiter := make(chan error)
 	go func() {
-		_, err := m.Classify(context.Background(), s.ID(), nil)
+		_, err := m.Classify(context.Background(), s.ID(), nil, nil)
 		waiter <- err
 	}()
 	waitQueueDepth(t, m, 1)
-	if _, err := m.Classify(context.Background(), s.ID(), nil); !errors.Is(err, ErrSaturated) {
+	if _, err := m.Classify(context.Background(), s.ID(), nil, nil); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("Classify with the line full: err=%v, want ErrSaturated", err)
 	}
 	if snap := m.Snapshot(); snap.RequestsShed != 1 {
@@ -203,13 +203,13 @@ func TestQueueShedAndDrain(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := m.Classify(context.Background(), s.ID(), nil); err != nil {
+			if _, err := m.Classify(context.Background(), s.ID(), nil, nil); err != nil {
 				t.Errorf("waiting round: %v", err)
 			}
 		}()
 	}
 	waitQueueDepth(t, m, 2)
-	if _, err := m.Classify(context.Background(), s.ID(), nil); !errors.Is(err, ErrSaturated) {
+	if _, err := m.Classify(context.Background(), s.ID(), nil, nil); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("Classify past the line: err=%v, want ErrSaturated", err)
 	}
 
@@ -224,7 +224,7 @@ func TestQueueShedAndDrain(t *testing.T) {
 		t.Fatalf("snapshot = %+v, want accepted=done=3 shed=1", snap)
 	}
 	wg.Wait()
-	if _, err := m.Classify(context.Background(), s.ID(), nil); !errors.Is(err, ErrShutdown) {
+	if _, err := m.Classify(context.Background(), s.ID(), nil, nil); !errors.Is(err, ErrShutdown) {
 		t.Fatalf("Classify after Close: err=%v, want ErrShutdown", err)
 	}
 }
@@ -244,7 +244,7 @@ func TestManagerClassifyCancelWhileWaiting(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiter := make(chan error)
 	go func() {
-		_, err := m.Classify(ctx, s.ID(), nil)
+		_, err := m.Classify(ctx, s.ID(), nil, nil)
 		waiter <- err
 	}()
 	waitQueueDepth(t, m, 1)
@@ -276,7 +276,7 @@ func TestManagerCloseDrains(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		go func() {
 			defer wg.Done()
-			_, err := m.Classify(context.Background(), s.ID(), []SensorInput{{Sensor: 0, Class: 1, Confidence: 0.02}})
+			_, err := m.Classify(context.Background(), s.ID(), []SensorInput{{Sensor: 0, Class: 1, Confidence: 0.02}}, nil)
 			if err != nil {
 				t.Errorf("classify: %v", err)
 			}
@@ -289,7 +289,7 @@ func TestManagerCloseDrains(t *testing.T) {
 		t.Errorf("done=%d accepted=%d, want both %d (accepted work must complete)",
 			snap.RequestsDone, snap.RequestsAccepted, rounds)
 	}
-	if _, err := m.Classify(context.Background(), s.ID(), nil); !errors.Is(err, ErrShutdown) {
+	if _, err := m.Classify(context.Background(), s.ID(), nil, nil); !errors.Is(err, ErrShutdown) {
 		t.Errorf("classify after Close: err=%v, want ErrShutdown", err)
 	}
 	if _, err := m.Create("MHEALTH", 9, Opts{}); !errors.Is(err, ErrShutdown) {
@@ -304,7 +304,7 @@ func TestManagerTelemetryRetires(t *testing.T) {
 	defer m.Close()
 	s, _ := m.Create("MHEALTH", 1, Opts{})
 	for i := 0; i < 5; i++ {
-		if _, err := m.Classify(context.Background(), s.ID(), []SensorInput{{Sensor: i % 3, Class: 0, Confidence: 0.01}}); err != nil {
+		if _, err := m.Classify(context.Background(), s.ID(), []SensorInput{{Sensor: i % 3, Class: 0, Confidence: 0.01}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -369,13 +369,13 @@ func TestManagerSetPressure(t *testing.T) {
 	if err := m.SetPressure(Pressure{ShedEvery: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Pressure(); got.ShedEvery != 3 {
-		t.Fatalf("Pressure().ShedEvery = %d, want 3", got.ShedEvery)
+	if got := m.pressureShedEvery.Load(); got != 3 {
+		t.Fatalf("shed-every in force = %d, want 3", got)
 	}
 	in := []SensorInput{{Sensor: 0, Class: 1, Confidence: 0.02}}
 	shed := 0
 	for k := 0; k < 9; k++ {
-		_, err := m.Classify(context.Background(), s.ID(), in)
+		_, err := m.Classify(context.Background(), s.ID(), in, nil)
 		switch {
 		case errors.Is(err, ErrSaturated):
 			shed++
@@ -395,7 +395,7 @@ func TestManagerSetPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 0; k < 6; k++ {
-		if _, err := m.Classify(context.Background(), s.ID(), in); err != nil {
+		if _, err := m.Classify(context.Background(), s.ID(), in, nil); err != nil {
 			t.Fatalf("classify after window close: %v", err)
 		}
 	}
@@ -405,7 +405,7 @@ func TestManagerSetPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := m.Classify(context.Background(), s.ID(), in); err != nil {
+	if _, err := m.Classify(context.Background(), s.ID(), in, nil); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d < 30*time.Millisecond {

@@ -1,9 +1,13 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // storePair builds two managers (replica A and replica B) sharing one state
@@ -26,16 +30,13 @@ func roundInputs(i int) []SensorInput {
 	}
 }
 
-// driveRound classifies one round on a manager and persists the snapshot —
-// the exact sequence the serving layer performs per round.
+// driveRound classifies one round on a manager, which writes the round's
+// snapshot to the store before it returns.
 func driveRound(t *testing.T, m *Manager, id string, i int) ClassifyResult {
 	t.Helper()
-	res, err := m.Classify(context.Background(), id, roundInputs(i))
+	res, err := m.Classify(context.Background(), id, roundInputs(i), nil)
 	if err != nil {
 		t.Fatalf("round %d: %v", i, err)
-	}
-	if err := m.PersistSession(id, nil); err != nil {
-		t.Fatalf("persist round %d: %v", i, err)
 	}
 	return res
 }
@@ -233,5 +234,160 @@ func TestManagerCreateSkipsStoredIDs(t *testing.T) {
 	}
 	if info := stored.Info(); info.User != 7 || info.Slots != 3 {
 		t.Fatalf("stored session %s = user %d at slot %d, want user 7 at slot 3", info.ID, info.User, info.Slots)
+	}
+}
+
+// gatedStore is a MemStateStore that counts Puts and, once hold is set,
+// parks every Put until release is closed, signalling entered first.
+type gatedStore struct {
+	*MemStateStore
+	puts    atomic.Int64
+	hold    atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func newGatedStore() *gatedStore {
+	return &gatedStore{MemStateStore: NewMemStateStore(), entered: make(chan struct{}, 1), release: make(chan struct{})}
+}
+
+func (g *gatedStore) Put(id string, ver int64, blob []byte) error {
+	g.puts.Add(1)
+	if g.hold.Load() {
+		g.entered <- struct{}{}
+		<-g.release
+	}
+	return g.MemStateStore.Put(id, ver, blob)
+}
+
+// prop: with a store, a classified round writes exactly one snapshot, at
+// version = rounds classified, carrying the attachment its supplier built
+// from the round's own result — all before Classify returns.
+func TestManagerClassifyWritesRoundSnapshot(t *testing.T) {
+	store := newGatedStore()
+	m := NewManager(Config{Registry: tinyRegistry(), Workers: 1, State: store})
+	defer m.Close()
+	if _, err := m.CreateWithID("w", "MHEALTH", 1, Opts{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		before := store.puts.Load()
+		res, err := m.Classify(context.Background(), "w", roundInputs(i), func(r ClassifyResult) []byte {
+			return []byte{byte(r.Slot), byte(r.Class + 1)}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := store.puts.Load() - before; n != 1 {
+			t.Fatalf("round %d issued %d Puts, want 1", i, n)
+		}
+		blob, ver, ok, err := store.Load("w")
+		if err != nil || !ok {
+			t.Fatalf("round %d: stored snapshot missing: ok=%v err=%v", i, ok, err)
+		}
+		st, err := DecodeSessionState(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ver != int64(i+1) || st.Slot != i+1 {
+			t.Fatalf("round %d stored at version %d slot %d, want %d", i, ver, st.Slot, i+1)
+		}
+		if want := []byte{byte(res.Slot), byte(res.Class + 1)}; !bytes.Equal(st.Attachment, want) {
+			t.Fatalf("round %d attachment %v, want %v", i, st.Attachment, want)
+		}
+	}
+}
+
+// prop: Delete is not undone by a round in flight. The round's store write
+// is parked inside Put while Delete runs; Delete must wait it out (or the
+// write must not land), so once both return the store is empty and no
+// replica can restore the session.
+func TestManagerDeleteNotUndoneByRound(t *testing.T) {
+	store := newGatedStore()
+	m := NewManager(Config{Registry: tinyRegistry(), Workers: 1, State: store})
+	defer m.Close()
+	if _, err := m.CreateWithID("gone", "MHEALTH", 1, Opts{}); err != nil {
+		t.Fatal(err)
+	}
+	store.hold.Store(true)
+	round := make(chan error, 1)
+	go func() {
+		_, err := m.Classify(context.Background(), "gone", roundInputs(0), nil)
+		round <- err
+	}()
+	<-store.entered // the round's write is in flight
+
+	deleted := make(chan error, 1)
+	go func() { deleted <- m.Delete("gone") }()
+	// A Delete that returns while the write is still parked has removed an
+	// entry the write is about to put back. Give it the chance to.
+	select {
+	case err := <-deleted:
+		t.Errorf("Delete returned (err=%v) while the round's store write was in flight", err)
+		deleted <- err
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(store.release)
+	if err := <-round; err != nil {
+		t.Fatalf("round: %v", err)
+	}
+	if err := <-deleted; err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	if n := store.Len(); n != 0 {
+		t.Fatalf("store holds %d sessions after Delete, want 0", n)
+	}
+	if _, err := m.Get("gone"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get after Delete: err = %v, want ErrNotFound", err)
+	}
+}
+
+// prop: concurrent creates of one id admit exactly one session: the rest
+// fail with ErrExists, and neither the live count nor the LRU list keeps a
+// ghost of the losers.
+func TestManagerCreateWithIDConcurrent(t *testing.T) {
+	const callers = 16
+	for trial := 0; trial < 5; trial++ {
+		m := NewManager(Config{Registry: tinyRegistry(), Workers: 1})
+		start := make(chan struct{})
+		errs := make(chan error, callers)
+		var wg sync.WaitGroup
+		for i := 0; i < callers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				_, err := m.CreateWithID("dup", "MHEALTH", 1, Opts{})
+				errs <- err
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(errs)
+		ok := 0
+		for err := range errs {
+			switch {
+			case err == nil:
+				ok++
+			case !errors.Is(err, ErrExists):
+				t.Fatalf("trial %d: create err = %v, want nil or ErrExists", trial, err)
+			}
+		}
+		if ok != 1 {
+			t.Fatalf("trial %d: %d of %d concurrent creates succeeded, want 1", trial, ok, callers)
+		}
+		if n := m.Snapshot().SessionsActive; n != 1 {
+			t.Fatalf("trial %d: SessionsActive = %d, want 1", trial, n)
+		}
+		listed := 0
+		for _, sh := range m.shards {
+			sh.mu.Lock()
+			listed += sh.order.Len()
+			sh.mu.Unlock()
+		}
+		if listed != 1 {
+			t.Fatalf("trial %d: LRU lists hold %d entries, want 1", trial, listed)
+		}
+		m.Close()
 	}
 }

@@ -61,10 +61,10 @@ type Model struct {
 	nets sync.Pool // of []predictor — one clone per sensor, per borrow
 }
 
-// predictor is the inference surface the scorers use. *dnn.Network and
-// *dnn.QuantizedNetwork both implement it.
+// predictor is the inference surface the scorers use: every window is
+// scored through the batched kernel, a lone window as a batch of one.
+// *dnn.Network and *dnn.QuantizedNetwork both implement it.
 type predictor interface {
-	Predict(x *tensor.Tensor) (class int, probs *tensor.Tensor)
 	PredictBatch(x *tensor.Tensor) (classes []int, probs *tensor.Tensor)
 }
 

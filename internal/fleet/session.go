@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 
-	"origin/internal/ensemble"
 	"origin/internal/host"
 	"origin/internal/obs"
 	"origin/internal/sensor"
@@ -116,6 +115,12 @@ type Session struct {
 	// not s.mu); lastUsed is the shard's eviction clock for this session.
 	lru      *list.Element
 	lastUsed int64 // unix nanos, guarded by the owning shard's lock
+
+	// wmu orders the session's state-store writes against Manager.Delete:
+	// a write runs under wmu and is dropped once deleted is set, and Delete
+	// sets deleted under wmu before it removes the stored snapshot.
+	wmu     sync.Mutex
+	deleted bool
 }
 
 // NewSession builds a standalone session over a model. The Manager calls
@@ -176,6 +181,11 @@ func newSessionFromState(st SessionState, m *Model) (*Session, error) {
 func (s *Session) State(attachment []byte) SessionState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.stateLocked(append([]byte(nil), attachment...))
+}
+
+// stateLocked snapshots the session. Callers hold s.mu.
+func (s *Session) stateLocked(attachment []byte) SessionState {
 	tot := s.tel.Totals()
 	return SessionState{
 		ID:      s.id,
@@ -192,7 +202,7 @@ func (s *Session) State(attachment []byte) SessionState {
 			AdaptationUpdates: tot.AdaptationUpdates,
 			QuorumAbstentions: tot.Faults.QuorumAbstentions,
 		},
-		Attachment: append([]byte(nil), attachment...),
+		Attachment: attachment,
 	}
 }
 
@@ -242,6 +252,13 @@ func (s *Session) validate(in SensorInput) error {
 // An empty input slice is a valid round: the session classifies from
 // recall alone and performs no adaptation (nothing fresh arrived).
 func (s *Session) Classify(inputs []SensorInput) (ClassifyResult, error) {
+	return s.classify(inputs, nil)
+}
+
+// classify runs one round. A non-nil snap receives the session's snapshot as
+// of the end of the round, taken in the round's own lock hold so no other
+// round can land between the two.
+func (s *Session) classify(inputs []SensorInput, snap *SessionState) (ClassifyResult, error) {
 	for i, in := range inputs {
 		if err := s.validate(in); err != nil {
 			return ClassifyResult{}, err
@@ -294,6 +311,9 @@ func (s *Session) Classify(inputs []SensorInput) (ClassifyResult, error) {
 	}
 	s.slot++
 	s.tel.Slots++ // one serving round = one telemetry slot
+	if snap != nil {
+		*snap = s.stateLocked(nil)
+	}
 	return ClassifyResult{
 		Slot:     slot,
 		Class:    final,
@@ -314,14 +334,6 @@ func (s *Session) Info() SessionInfo {
 		Received: s.dev.Received(),
 		Adapts:   s.dev.AdaptsApplied(),
 	}
-}
-
-// Matrix returns the session's (adapting) confidence matrix. Callers must
-// treat it as read-only; it is owned by the session.
-func (s *Session) Matrix() *ensemble.Matrix {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dev.Matrix()
 }
 
 // Telemetry returns a copy of the session's accumulated vote/adaptation

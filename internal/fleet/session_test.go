@@ -241,7 +241,7 @@ func TestSessionFreezeAndIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frozenStart := frozen.Matrix().Clone()
+	frozenStart := frozen.State(nil).Matrix
 	stream := voteStream(m, 11, rounds)
 	classSeq(t, frozen, stream)
 	classSeq(t, adaptive, stream)
@@ -249,13 +249,13 @@ func TestSessionFreezeAndIsolation(t *testing.T) {
 	if got := frozen.Info().Adapts; got != 0 {
 		t.Errorf("frozen session applied %d adapts, want 0", got)
 	}
-	if !matrixEqual(frozen.Matrix(), frozenStart, m) {
+	if !matrixEqual(frozen.State(nil).Matrix, frozenStart, m) {
 		t.Error("frozen session's matrix changed")
 	}
 	if got := adaptive.Info().Adapts; got == 0 {
 		t.Error("adaptive session applied no adapts")
 	}
-	if matrixEqual(adaptive.Matrix(), frozenStart, m) {
+	if matrixEqual(adaptive.State(nil).Matrix, frozenStart, m) {
 		t.Error("adaptive session's matrix never moved")
 	}
 	if !matrixEqual(m.System.Matrix, shared, m) {

@@ -32,20 +32,61 @@ const DefaultStreamHop = 32
 // contiguously and the server-side sliding-window assembly sees a real
 // continuous signal.
 type FrameSource struct {
-	profile  *synth.Profile
 	timeline *synth.Timeline
 	cfg      *Config
-	sensors  [synth.NumLocations]sensorFrames
+	sensors  *SensorFrames
 	step     int
 }
 
-// sensorFrames is one sensor's stream progress: its continuous signal
-// source, the next frame sequence number, and whether the priming
-// (full-window) frame has been sent.
-type sensorFrames struct {
-	stream *synth.SensorStream
-	seq    int
-	primed bool
+// SensorFrames is one wearer's per-sensor stream progress (signal source,
+// next frame sequence number, priming frame sent) and the one builder of
+// stream rounds: FrameSource and the scenario's lineages both use Round.
+type SensorFrames struct {
+	// Streams are the per-location signal sources. Callers may draw window
+	// payloads from them or drift their wearer between rounds.
+	Streams [synth.NumLocations]*synth.SensorStream
+	seqs    [synth.NumLocations]int
+	primed  [synth.NumLocations]bool
+}
+
+// NewSensorFrames seeds one SensorStream per location for a wearer.
+// seed+3+s keeps the per-sensor RNG streams disjoint from the timeline
+// (seed), generator (seed+1) and vote (seed+2) streams.
+func NewSensorFrames(profile *synth.Profile, u *synth.User, seed int64) *SensorFrames {
+	f := &SensorFrames{}
+	for s := range f.Streams {
+		f.Streams[s] = synth.NewSensorStream(profile, u, synth.Location(s), seed+3+int64(s))
+	}
+	return f
+}
+
+// Round encodes round k's frames in send order: n reporters in the rotation
+// (k·n + j) mod NumLocations, each shipping hop new samples of the truth
+// activity — a full window on a sensor's first frame, since the server has
+// no history to slide over yet. The last frame carries end-of-round.
+func (f *SensorFrames) Round(k, n, hop, truth int) ([]EncodedFrame, error) {
+	frames := make([]EncodedFrame, 0, n)
+	for j := 0; j < n; j++ {
+		sensorID := (k*n + j) % synth.NumLocations
+		count := hop
+		if !f.primed[sensorID] {
+			count = windowLen
+			f.primed[sensorID] = true
+		}
+		samples := f.Streams[sensorID].Next(truth, count, nil)
+		rows := make([][]float64, synth.Channels)
+		for c := range rows {
+			rows[c] = samples[c*count : (c+1)*count]
+		}
+		seq := f.seqs[sensorID]
+		enc, err := comm.EncodeIMU(nil, comm.IMUFrame{Sensor: sensorID, Seq: seq, EndRound: j == n-1, Samples: rows})
+		if err != nil {
+			return nil, fmt.Errorf("loadgen: encode frame (round %d sensor %d): %w", k, sensorID, err)
+		}
+		frames = append(frames, EncodedFrame{Sensor: sensorID, Seq: seq, End: j == n-1, Bytes: enc})
+		f.seqs[sensorID]++
+	}
+	return frames, nil
 }
 
 // NewFrameSource builds the i-th user's frame source. The seeding mirrors
@@ -57,14 +98,8 @@ func NewFrameSource(cfg *Config, profile *synth.Profile, i int) *FrameSource {
 	tl := synth.GenerateTimeline(profile, synth.TimelineConfig{
 		Slots: cfg.Requests, MeanSegment: 40, MinSegment: 10, Seed: seed,
 	})
-	u := synth.NewUser(UserID(i))
-	fs := &FrameSource{profile: profile, timeline: tl, cfg: cfg}
-	for s := 0; s < synth.NumLocations; s++ {
-		// seed+3+s keeps the per-sensor RNG streams disjoint from the
-		// timeline (seed), generator (seed+1) and vote (seed+2) streams.
-		fs.sensors[s].stream = synth.NewSensorStream(profile, u, synth.Location(s), seed+3+int64(s))
-	}
-	return fs
+	return &FrameSource{timeline: tl, cfg: cfg,
+		sensors: NewSensorFrames(profile, synth.NewUser(UserID(i)), seed)}
 }
 
 // Truth returns the ground-truth activity of round k.
@@ -90,34 +125,7 @@ func (fs *FrameSource) Next(k int) ([]EncodedFrame, error) {
 		panic(fmt.Sprintf("loadgen: frame source stepped out of order: got %d want %d", k, fs.step))
 	}
 	fs.step++
-	truth := fs.timeline.PerSlot[k]
-	n := fs.cfg.SensorsPerRequest
-	frames := make([]EncodedFrame, 0, n)
-	for j := 0; j < n; j++ {
-		sensorID := (k*n + j) % synth.NumLocations
-		st := &fs.sensors[sensorID]
-		count := fs.cfg.StreamHop
-		if !st.primed {
-			// The first frame must fill the server-side window outright:
-			// there is no history to slide over yet.
-			count = windowLen
-			st.primed = true
-		}
-		samples := st.stream.Next(truth, count, nil)
-		rows := make([][]float64, synth.Channels)
-		for c := 0; c < synth.Channels; c++ {
-			rows[c] = samples[c*count : (c+1)*count]
-		}
-		enc, err := comm.EncodeIMU(nil, comm.IMUFrame{
-			Sensor: sensorID, Seq: st.seq, EndRound: j == n-1, Samples: rows,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: encode frame (round %d sensor %d): %w", k, sensorID, err)
-		}
-		frames = append(frames, EncodedFrame{Sensor: sensorID, Seq: st.seq, End: j == n-1, Bytes: enc})
-		st.seq++
-	}
-	return frames, nil
+	return fs.sensors.Round(k, fs.cfg.SensorsPerRequest, fs.cfg.StreamHop, fs.timeline.PerSlot[k])
 }
 
 // Reconnect/backoff parameters: the base doubles per consecutive failure up

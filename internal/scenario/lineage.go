@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 
-	"origin/internal/comm"
 	"origin/internal/experiments"
 	"origin/internal/loadgen"
 	"origin/internal/serve"
@@ -28,9 +27,7 @@ type lineageGen struct {
 	lp      lineagePlan
 
 	user    *synth.User
-	streams [synth.NumLocations]*synth.SensorStream
-	seqs    [synth.NumLocations]int
-	primed  [synth.NumLocations]bool
+	sensors *loadgen.SensorFrames
 
 	tl         *synth.Timeline // current phase's truth timeline
 	round      int             // rounds completed since birth (the stream slot index)
@@ -40,11 +37,9 @@ type lineageGen struct {
 
 func newLineageGen(spec *Spec, profile *synth.Profile, lp lineagePlan) *lineageGen {
 	g := &lineageGen{spec: spec, profile: profile, lp: lp, user: synth.NewUser(lp.Wearer)}
-	for s := 0; s < synth.NumLocations; s++ {
-		// lp.Seed+3+s mirrors loadgen's sensor-stream seed layout, disjoint
-		// from the transport draw (+1) and backoff jitter (+6).
-		g.streams[s] = synth.NewSensorStream(profile, g.user, synth.Location(s), lp.Seed+3+int64(s))
-	}
+	// loadgen's sensor-stream seed layout (lp.Seed+3+s) stays disjoint from
+	// the transport draw (+1) and backoff jitter (+6).
+	g.sensors = loadgen.NewSensorFrames(profile, g.user, lp.Seed)
 	return g
 }
 
@@ -54,7 +49,7 @@ func (g *lineageGen) enterPhase(p int) {
 	ph := &g.spec.Phases[p]
 	if p > g.lp.Born && ph.Drift > 0 {
 		g.user = g.user.Drifted(int64(p), ph.Drift)
-		for _, st := range g.streams {
+		for _, st := range g.sensors.Streams {
 			st.SetUser(g.user)
 		}
 		g.drifted = true
@@ -91,32 +86,9 @@ func (g *lineageGen) advance() {
 // returned slice — resume re-sends reuse these exact bytes, so a disconnect
 // never re-invokes the generator.
 func (g *lineageGen) frames() ([]loadgen.EncodedFrame, error) {
-	truth := g.truth()
-	n := g.spec.SensorsPerRound
-	frames := make([]loadgen.EncodedFrame, 0, n)
-	for j := 0; j < n; j++ {
-		sensorID := (g.round*n + j) % synth.NumLocations
-		count := g.spec.StreamHop
-		if !g.primed[sensorID] {
-			// The sensor's first frame must fill the server-side window.
-			count = experiments.Window
-			g.primed[sensorID] = true
-		}
-		samples := g.streams[sensorID].Next(truth, count, nil)
-		rows := make([][]float64, synth.Channels)
-		for c := 0; c < synth.Channels; c++ {
-			rows[c] = samples[c*count : (c+1)*count]
-		}
-		enc, err := comm.EncodeIMU(nil, comm.IMUFrame{
-			Sensor: sensorID, Seq: g.seqs[sensorID], EndRound: j == n-1, Samples: rows,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("scenario: lineage %d round %d: encode frame: %w", g.lp.Index, g.round, err)
-		}
-		frames = append(frames, loadgen.EncodedFrame{
-			Sensor: sensorID, Seq: g.seqs[sensorID], End: j == n-1, Bytes: enc,
-		})
-		g.seqs[sensorID]++
+	frames, err := g.sensors.Round(g.round, g.spec.SensorsPerRound, g.spec.StreamHop, g.truth())
+	if err != nil {
+		return nil, fmt.Errorf("scenario: lineage %d: %w", g.lp.Index, err)
 	}
 	g.advance()
 	return frames, nil
@@ -130,7 +102,7 @@ func (g *lineageGen) request() serve.ClassifyRequest {
 	var req serve.ClassifyRequest
 	for j := 0; j < n; j++ {
 		sensorID := (g.round*n + j) % synth.NumLocations
-		samples := g.streams[sensorID].Next(truth, experiments.Window, nil)
+		samples := g.sensors.Streams[sensorID].Next(truth, experiments.Window, nil)
 		rows := make([][]float64, synth.Channels)
 		for c := 0; c < synth.Channels; c++ {
 			rows[c] = samples[c*experiments.Window : (c+1)*experiments.Window]

@@ -82,9 +82,9 @@ func newResumeCache(ttl time.Duration, capacity int, metrics *Metrics, now func(
 // outran), it is closed and waited for first, so state hand-off is strictly
 // serialized.
 //
-// restore, when non-nil, is the cross-replica fallback: on a token that
-// matches no local parked state, it may rebuild the state from the shared
-// state store (returning nil when the store has nothing usable). A hit
+// restore is the cross-replica fallback: on a token that matches no local
+// parked state, it may rebuild the state from the shared state store
+// (returning nil when there is no store or it has nothing usable). A hit
 // counts as StreamStoreResumes — the "migrated resume" the shard drill
 // gates on — and replaces whatever stale local entry existed.
 //
@@ -118,17 +118,15 @@ func (r *resumeCache) attach(session, token string, sensors, window, curSlot int
 			}
 			stale := e != nil && e.token == token && e.hasLast && e.lastSlot < curSlot-1
 			if e == nil || e.token != token || stale {
-				if restore != nil {
-					if st = restore(); st != nil && st.token == token {
-						if e != nil {
-							r.removeLocked(e)
-						}
-						st.owner = conn
-						st.done = make(chan struct{})
-						r.entries[session] = st
-						r.metrics.StreamStoreResumes.Add(1)
-						return st, true, nil
+				if st = restore(); st != nil && st.token == token {
+					if e != nil {
+						r.removeLocked(e)
 					}
+					st.owner = conn
+					st.done = make(chan struct{})
+					r.entries[session] = st
+					r.metrics.StreamStoreResumes.Add(1)
+					return st, true, nil
 				}
 				r.metrics.StreamResumeMisses.Add(1)
 				return nil, false, fmt.Errorf("no resumable state for session")

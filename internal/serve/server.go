@@ -191,19 +191,11 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	s.cfg.Metrics.noteParse(time.Since(parseStart))
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	res, err := s.cfg.Manager.Classify(ctx, r.PathValue("id"), inputs)
+	// HTTP rounds carry no stream lineage, so there is no attachment.
+	res, err := s.cfg.Manager.Classify(ctx, r.PathValue("id"), inputs, nil)
 	if err != nil {
 		writeError(w, err)
 		return
-	}
-	// With externalized state, the round is durable before the client sees
-	// its result: once the response ships, any replica can continue from
-	// slot+1. HTTP rounds carry no stream lineage, so the attachment is nil.
-	if s.cfg.Manager.HasStore() {
-		if err := s.cfg.Manager.PersistSession(r.PathValue("id"), nil); err != nil {
-			writeError(w, err)
-			return
-		}
 	}
 	writeJSON(w, http.StatusOK, res)
 }

@@ -289,22 +289,14 @@ func (s *StreamServer) handle(conn net.Conn) {
 		return
 	}
 	// Cross-replica resume fallback: when the client's token matches no
-	// local parked state, rebuild the lineage from the shared state store.
-	// Manager.Get above already restored the session core if the store was
-	// ahead, so the attachment and the session agree on the round counter.
-	var restore func() *streamState
-	if s.cfg.Manager.HasStore() {
-		restore = func() *streamState {
-			snap, ok, err := s.cfg.Manager.StoredState(hello.Session)
-			if err != nil || !ok || len(snap.Attachment) == 0 {
-				return nil
-			}
-			rs, err := decodeStreamAttachment(snap.Attachment, hello.Session, sess.Model().Sensors(), sess.Model().Window)
-			if err != nil {
-				return nil
-			}
-			return rs
-		}
+	// local parked state, rebuild the lineage from the shared state store (a
+	// missing store, snapshot or lineage decodes to nil). Manager.Get above
+	// already restored the session core if the store was ahead, so the
+	// attachment and the session agree on the round counter.
+	restore := func() *streamState {
+		snap, _, _ := s.cfg.Manager.StoredState(hello.Session)
+		rs, _ := decodeStreamAttachment(snap.Attachment, hello.Session, sess.Model().Sensors(), sess.Model().Window)
+		return rs
 	}
 	st, resumed, err := s.states.attach(hello.Session, hello.Token, sess.Model().Sensors(), sess.Model().Window, sess.Info().Slots, conn, restore)
 	if err != nil {
@@ -319,13 +311,12 @@ func (s *StreamServer) handle(conn net.Conn) {
 	// Persist the lineage (token included) before the ack hands the token to
 	// the client: if this replica dies immediately after the ack, the token
 	// must already be in the store or the client's resume would miss
-	// fleet-wide. One write per (re)connect, not per frame.
-	if s.cfg.Manager.HasStore() {
-		if err := s.cfg.Manager.PersistSession(hello.Session, encodeStreamAttachment(st)); err != nil {
-			park = false
-			s.reject(w, comm.StreamErrInternal, "session state persist failed")
-			return
-		}
+	// fleet-wide. One write per (re)connect, not per frame; a no-op without
+	// a store.
+	if err := s.cfg.Manager.PersistSession(hello.Session, encodeStreamAttachment(st)); err != nil {
+		park = false
+		s.reject(w, comm.StreamErrInternal, "session state persist failed")
+		return
 	}
 
 	ack := comm.HelloAck{
@@ -430,7 +421,14 @@ func (s *StreamServer) handle(conn net.Conn) {
 			inputs := st.asm.TakeRound()
 			s.cfg.Metrics.noteParse(roundParse)
 			roundParse = 0
-			res, err := s.classify(hello.Session, inputs)
+			// With a store, Manager.Classify writes the round's snapshot
+			// (session core plus this lineage) before it returns: once the
+			// client sees slot k, the store can serve slot k+1 — the
+			// crash-recovery contract the shard drill gates on.
+			res, err := s.classify(hello.Session, inputs, func(res fleet.ClassifyResult) []byte {
+				st.lastSlot, st.lastClass, st.hasLast = res.Slot, res.Class, true
+				return encodeStreamAttachment(st)
+			})
 			if err != nil {
 				park = false
 				var abort *streamAbort
@@ -441,20 +439,10 @@ func (s *StreamServer) handle(conn net.Conn) {
 				}
 				return
 			}
-			// Record the result before attempting the push: if the write
-			// fails, the parked state carries it to the resume hello-ack.
+			// Record the result before attempting the push (the snapshot's
+			// attachment already has it): if the write fails, the parked
+			// state carries it to the resume hello-ack.
 			st.lastSlot, st.lastClass, st.hasLast = res.Slot, res.Class, true
-			// Persist the combined snapshot (session core + lineage) after
-			// the classify and before the result reaches the client: once the
-			// client sees slot k, the store must be able to serve slot k+1 —
-			// the crash-recovery contract the shard drill gates on.
-			if s.cfg.Manager.HasStore() {
-				if err := s.cfg.Manager.PersistSession(hello.Session, encodeStreamAttachment(st)); err != nil {
-					park = false
-					s.reject(w, comm.StreamErrInternal, "session state persist failed")
-					return
-				}
-			}
 			s.cfg.Metrics.StreamRounds.Add(1)
 			pending, err = comm.EncodeStreamResult(pending, comm.StreamResult{Slot: res.Slot, Class: res.Class})
 			if err != nil {
@@ -478,11 +466,11 @@ func (s *StreamServer) handle(conn net.Conn) {
 // transient saturation: a persistent stream must deliver every round of its
 // session in order, so shed rounds are retried with backoff rather than
 // surfaced (the HTTP client does the identical retry from its side).
-func (s *StreamServer) classify(session string, inputs []fleet.SensorInput) (fleet.ClassifyResult, error) {
+func (s *StreamServer) classify(session string, inputs []fleet.SensorInput, attach func(fleet.ClassifyResult) []byte) (fleet.ClassifyResult, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RoundTimeout)
 	defer cancel()
 	for attempt := 0; ; attempt++ {
-		res, err := s.cfg.Manager.Classify(ctx, session, inputs)
+		res, err := s.cfg.Manager.Classify(ctx, session, inputs, attach)
 		switch {
 		case err == nil:
 			return res, nil
