@@ -135,11 +135,16 @@ verify-serve:
 	$(GO) test -race ./internal/fleet ./internal/serve ./internal/loadgen \
 		./internal/ensemble ./internal/obs
 
-# Short fuzz pass over the wire codec (go test allows one -fuzz target per
-# invocation, so the decoders run back to back). Covers the fixed-size uplink
-# records and the variable-length stream frames.
+# Short fuzz pass over every binary decoder (go test allows one -fuzz target
+# per invocation, so the decoders run back to back). Covers the fixed-size
+# uplink records, the variable-length stream frames, and the three sections
+# of a stored session: the snapshot, its confidence matrix and the stream
+# front's attachment.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeResult -fuzztime=5s ./internal/comm
 	$(GO) test -fuzz=FuzzDecodeActivation -fuzztime=5s ./internal/comm
 	$(GO) test -fuzz=FuzzDecodeStreamFrame -fuzztime=5s ./internal/comm
 	$(GO) test -fuzz=FuzzIMURoundTrip -fuzztime=5s ./internal/comm
+	$(GO) test -fuzz=FuzzDecodeSessionState -fuzztime=5s ./internal/fleet
+	$(GO) test -fuzz=FuzzDecodeBinaryMatrix -fuzztime=5s ./internal/ensemble
+	$(GO) test -fuzz=FuzzDecodeStreamAttachment -fuzztime=5s ./internal/serve

@@ -3,8 +3,8 @@ package origin
 // Forward-throughput benchmarks for the batched inference hot path. These
 // are the benchmarks cmd/benchdiff gates CI on (see BENCH_forward.json and
 // the bench-regression job): BenchmarkForwardSingle is the single-window
-// Predict baseline, BenchmarkForwardBatch/b<N> the micro-batched
-// PredictBatch path per batch size, and the ForwardInt8 pair the quantized
+// Predict baseline, BenchmarkForwardBatch/b<N> the batched PredictBatch
+// path per batch size, and the ForwardInt8 pair the quantized
 // hot path on the same architecture (gated at ≥3× the float single-window
 // baseline at b16). All report ns/window so the per-window speedup is read
 // directly off the bench log. They run the default HAR architecture on dnn
@@ -88,7 +88,7 @@ func BenchmarkForwardInt8Single(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/window")
 }
 
-// BenchmarkForwardInt8Batch is the quantized micro-batched path. The
+// BenchmarkForwardInt8Batch is the quantized batched path. The
 // acceptance bar (enforced by make verify-bench) is ≥3× the float
 // single-window per-window throughput at b16.
 func BenchmarkForwardInt8Batch(b *testing.B) {

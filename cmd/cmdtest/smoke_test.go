@@ -113,8 +113,6 @@ func TestOriginServeBadFlags(t *testing.T) {
 		{"-shards", "-1"},
 		{"-queue", "0"},
 		{"-request-timeout", "-1s"},
-		{"-batch-size", "0"},
-		{"-batch-hold", "-1ms"},
 		{"-stream-idle-timeout", "-1s"},
 		{"-resume-cap", "0"},
 		// Retired chaos flags (connection chaos is the day scenario's now):

@@ -42,7 +42,7 @@ func main() {
 		traces     = flag.Bool("traces", false, "include per-session classification sequences in the JSON report")
 		jsonOut    = flag.String("json", "", `write the report as JSON to this file ("-" = stdout)`)
 		queueDepth = flag.Int("queue", 256, "in-process server: classify calls allowed to wait for a running slot")
-		workers    = flag.Int("workers", 0, "in-process server: classify rounds run at once (0 = GOMAXPROCS, raised to the batch size)")
+		workers    = flag.Int("workers", 0, "in-process server: classify rounds run at once (0 = GOMAXPROCS)")
 		cache      = flag.String("cache", "", "model cache directory")
 		streamAddr = flag.String("stream-addr", "", "stream front host:port (stream mode against an external -addr; the in-process server starts its own)")
 		streamHop  = flag.Int("stream-hop", loadgen.DefaultStreamHop, "new samples per steady-state stream frame (1..64)")

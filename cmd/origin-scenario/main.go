@@ -48,7 +48,7 @@ func main() {
 		verifyReplay = flag.Bool("verify-replay", false, "also replay every lineage serially and fail on any divergence")
 		out          = flag.String("o", "-", "SLO report destination (- for stdout)")
 		queueDepth   = flag.Int("queue", 256, "classify calls allowed to wait for a running slot")
-		workers      = flag.Int("workers", 0, "classify rounds run at once (0 = GOMAXPROCS, raised to the batch size)")
+		workers      = flag.Int("workers", 0, "classify rounds run at once (0 = GOMAXPROCS)")
 		reqTimeout   = flag.Duration("request-timeout", 30*time.Second, "per-classify deadline")
 	)
 	flag.Parse()

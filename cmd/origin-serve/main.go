@@ -3,16 +3,15 @@
 //
 //	origin-serve -addr :8080 -profiles MHEALTH
 //	origin-serve -addr :8080 -max-sessions 10000 -session-ttl 30m -queue 512
-//	origin-serve -addr :8080 -batch-size 32 -batch-hold 200us
 //	origin-serve -addr :8080 -quant
 //	origin-serve -addr :8080 -stream-addr :8081
 //
 // Sessions hold per-wearer ensemble state (recall store + adaptive
 // confidence matrix) over models built once per profile; each classify
-// round runs on its request once it holds one of -workers running slots,
-// up to -queue more requests wait for a slot, and beyond that the server
-// sheds load with 429. SIGINT/SIGTERM waits for every admitted round
-// before exit.
+// round runs on its request once it holds one of -workers running slots and
+// scores its own windows there, up to -queue more requests wait for a slot,
+// and beyond that the server sheds load with 429. SIGINT/SIGTERM waits for
+// every admitted round before exit.
 package main
 
 import (
@@ -42,10 +41,8 @@ func main() {
 		sessionTTL   = flag.Duration("session-ttl", 30*time.Minute, "evict sessions idle longer than this (0 = never)")
 		shards       = flag.Int("shards", 8, "session map shard count")
 		queueDepth   = flag.Int("queue", 256, "classify requests allowed to wait for a running slot (beyond it, 429)")
-		workers      = flag.Int("workers", 0, "classify rounds run at once (0 = GOMAXPROCS, raised to -batch-size)")
+		workers      = flag.Int("workers", 0, "classify rounds run at once, each scoring its own windows (0 = GOMAXPROCS)")
 		reqTimeout   = flag.Duration("request-timeout", 10*time.Second, "per-classify deadline")
-		batchSize    = flag.Int("batch-size", 16, "micro-batch window cap for batched inference (1 disables batching)")
-		batchHold    = flag.Duration("batch-hold", 0, "max time a window may wait for batch-mates (0 = only coalesce already-queued work)")
 		quant        = flag.Bool("quant", false, "serve with the int8 quantized inference hot path (smaller resident models, higher throughput; accuracy parity gated at build)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to drain in-flight work on shutdown")
 		janitorEvery = flag.Duration("janitor-every", time.Minute, "TTL eviction sweep interval")
@@ -86,12 +83,6 @@ func main() {
 	if *sessionTTL < 0 || *reqTimeout <= 0 || *drainTimeout <= 0 {
 		usageError("timeouts must be positive (-session-ttl may be 0)")
 	}
-	if *batchSize <= 0 {
-		usageError("-batch-size must be positive, got %d", *batchSize)
-	}
-	if *batchHold < 0 {
-		usageError("-batch-hold must not be negative, got %s", *batchHold)
-	}
 	if *idleTimeout <= 0 {
 		usageError("-stream-idle-timeout must be positive, got %s", *idleTimeout)
 	}
@@ -118,8 +109,6 @@ func main() {
 		TTL:         *sessionTTL,
 		QueueDepth:  *queueDepth,
 		Workers:     *workers,
-		BatchSize:   *batchSize,
-		BatchHold:   *batchHold,
 		Quantized:   *quant,
 		State:       state,
 	})

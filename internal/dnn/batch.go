@@ -14,8 +14,8 @@ import (
 //     path. Each output element is accumulated in the same floating-point
 //     order as its single-window counterpart (the blocked kernels in
 //     internal/tensor only interleave independent accumulator chains), so
-//     micro-batched serving stays inside the fleet determinism contract —
-//     a batched classification equals its serial replay exactly.
+//     serving through it stays inside the fleet determinism contract — a
+//     served classification equals its serial replay exactly.
 //   - Activations come from a per-network Arena that is reset (not freed)
 //     between calls: after warm-up the batch hot path performs no
 //     per-element allocations regardless of batch size.

@@ -40,7 +40,7 @@ func TestQuantizedNetworkAccuracyParity(t *testing.T) {
 }
 
 // prop: batched int8 inference is bit-identical to single-window inference —
-// the integer determinism contract the micro-batcher relies on. Exact
+// the integer determinism contract the serving path relies on. Exact
 // equality, not a tolerance.
 func TestQuantizedBatchMatchesSingleExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))

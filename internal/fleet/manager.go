@@ -39,29 +39,21 @@ type Config struct {
 	// lazily on create and by EvictExpired sweeps).
 	TTL time.Duration
 	// Workers is the number of running slots: at most this many classify
-	// rounds run at once, each on its caller's goroutine (default
-	// obs.DefaultWorkers(), raised to BatchSize when micro-batching is on:
-	// running rounds bound the windows a batch can coalesce, and a batching
-	// round blocks on its batch reply rather than occupying a core).
+	// rounds run at once, each on its caller's goroutine, scoring its own
+	// windows (default obs.DefaultWorkers(), one slot per core).
 	// QueueDepth bounds the callers waiting for a slot (default 256); a
 	// caller beyond it is shed with ErrSaturated.
 	QueueDepth int
 	Workers    int
-	// BatchSize caps how many same-(model,sensor) windows one micro-batched
-	// forward pass may coalesce (default 16). 1 disables micro-batching and
-	// scores every window individually. Batched and single scoring are
-	// bit-identical per window, so this knob affects throughput only.
+	// BatchSize and BatchHold are read by no code: every round scores its
+	// own windows. They exist only so that the struct literal in
+	// perfbench/stack.go compiles, and go with its next change.
 	BatchSize int
-	// BatchHold, when positive, lets a batcher wait up to this long for more
-	// windows before flushing a partial batch. The default (0) flushes
-	// opportunistically — whatever is already queued goes in one pass, and an
-	// idle server pays no added latency, so p99 does not regress.
 	BatchHold time.Duration
 	// Quantized routes window scoring through the int8 inference hot path:
 	// sessions are served by the int8 form of each profile's model, compiled
 	// from the float nets the first time the manager needs it (Create fails
-	// if a net cannot be expressed in integer stages). Batched and single
-	// int8 scoring remain bit-identical per window; int8 vs float accuracy
+	// if a net cannot be expressed in integer stages). int8 vs float accuracy
 	// parity is gated separately (see internal/experiments and the dnn
 	// parity tests).
 	Quantized bool
@@ -86,24 +78,19 @@ type Metrics struct {
 	RequestsAccepted atomic.Int64
 	RequestsShed     atomic.Int64
 	RequestsDone     atomic.Int64
-	// WindowsBatched counts windows scored through the micro-batcher;
-	// BatchFlushes counts the batched forward passes that scored them, so
-	// WindowsBatched/BatchFlushes is the achieved mean batch size.
-	WindowsBatched atomic.Int64
-	BatchFlushes   atomic.Int64
+	// WindowsScored counts raw windows scored server-side, one forward
+	// pass each.
+	WindowsScored atomic.Int64
 	// SessionsRestored counts sessions rebuilt from the state store — each
 	// one is a migration this replica absorbed.
 	SessionsRestored atomic.Int64
 }
 
-// noteBatch records one micro-batched forward pass of n windows.
-func (mt *Metrics) noteBatch(n int) {
-	mt.WindowsBatched.Add(int64(n))
-	mt.BatchFlushes.Add(1)
-}
-
 // MetricsSnapshot is a point-in-time copy of the serving counters plus the
 // two gauges (live sessions, callers waiting for a running slot).
+// WindowsBatched and BatchFlushes both carry Metrics.WindowsScored: each
+// window is one forward pass, so their ratio, the mean batch size
+// perfbench/layers.go reports, is 1.
 type MetricsSnapshot struct {
 	SessionsActive   int   `json:"sessionsActive"`
 	SessionsCreated  int64 `json:"sessionsCreated"`
@@ -133,7 +120,6 @@ type Manager struct {
 	cfg      Config
 	reg      *Registry
 	shards   []*shard
-	batchers *modelBatchers // nil when micro-batching is disabled
 	metrics  Metrics
 	active   atomic.Int64
 	nextID   atomic.Int64
@@ -204,19 +190,8 @@ func NewManager(cfg Config) *Manager {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 256
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 16
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = obs.DefaultWorkers()
-		// Micro-batches can only coalesce windows that are in flight at
-		// once, and in-flight rounds are bounded by the running slots — a
-		// batching round spends its slot blocked on the batch reply, not
-		// on a core. One slot per core (the non-batched default) would cap
-		// every batch at one window, so give enough slots to fill a batch.
-		if cfg.BatchSize > 1 && cfg.Workers < cfg.BatchSize {
-			cfg.Workers = cfg.BatchSize
-		}
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -225,9 +200,6 @@ func NewManager(cfg Config) *Manager {
 	m.shards = make([]*shard, cfg.Shards)
 	for i := range m.shards {
 		m.shards[i] = &shard{sessions: map[string]*Session{}, order: list.New()}
-	}
-	if cfg.BatchSize > 1 {
-		m.batchers = newModelBatchers(cfg.BatchSize, cfg.BatchHold, &m.metrics)
 	}
 	return m
 }
@@ -309,18 +281,12 @@ func (m *Manager) CreateWithID(id, profile string, user int64, o Opts) (*Session
 	return s, nil
 }
 
-// install hands a session the manager's micro-batching scorer and links it
-// into its shard (evicting to make room). A same-id session already in the
-// shard fails the install with ErrExists, unless replace is set: then it is
-// unlinked WITHOUT retiring its telemetry — the incoming session's restored
-// counters already include everything the replaced stale cache entry
-// counted, so merging would double-count.
+// install links a session into its shard (evicting to make room). A same-id
+// session already in the shard fails the install with ErrExists, unless
+// replace is set: then it is unlinked WITHOUT retiring its telemetry — the
+// incoming session's restored counters already include everything the
+// replaced stale cache entry counted, so merging would double-count.
 func (m *Manager) install(s *Session, replace bool) error {
-	if m.batchers != nil {
-		if sc := m.batchers.scorerFor(s.model); sc != nil {
-			s.score = sc
-		}
-	}
 	now := m.cfg.Now().UnixNano()
 	sh := m.shardFor(s.id)
 	sh.mu.Lock()
@@ -582,8 +548,16 @@ func (m *Manager) Classify(ctx context.Context, id string, inputs []SensorInput,
 	}
 	res, err := s.classify(inputs, st)
 	m.metrics.RequestsDone.Add(1)
-	if err != nil || st == nil {
+	if err != nil {
 		return res, err
+	}
+	for _, in := range inputs {
+		if in.Window != nil {
+			m.metrics.WindowsScored.Add(1)
+		}
+	}
+	if st == nil {
+		return res, nil
 	}
 	if attach != nil {
 		st.Attachment = attach(res)
@@ -647,6 +621,7 @@ func (m *Manager) Model(profile string) (*Model, error) {
 
 // Snapshot returns the serving counters and gauges.
 func (m *Manager) Snapshot() MetricsSnapshot {
+	scored := m.metrics.WindowsScored.Load()
 	return MetricsSnapshot{
 		SessionsActive:   int(m.active.Load()),
 		SessionsCreated:  m.metrics.SessionsCreated.Load(),
@@ -656,8 +631,8 @@ func (m *Manager) Snapshot() MetricsSnapshot {
 		RequestsShed:     m.metrics.RequestsShed.Load(),
 		RequestsDone:     m.metrics.RequestsDone.Load(),
 		QueueDepth:       int(m.waiting.Load()),
-		WindowsBatched:   m.metrics.WindowsBatched.Load(),
-		BatchFlushes:     m.metrics.BatchFlushes.Load(),
+		WindowsBatched:   scored,
+		BatchFlushes:     scored,
 		SessionsRestored: m.metrics.SessionsRestored.Load(),
 	}
 }
@@ -685,9 +660,7 @@ func (m *Manager) Telemetry() obs.Telemetry {
 
 // Close stops accepting new sessions and classifications and waits for
 // every admitted round — running, or waiting for a slot — to finish: the
-// SIGTERM half of graceful shutdown. The rounds must finish before the
-// batchers stop: a running round may be waiting on a batched score, so the
-// batchers outlive the last round.
+// SIGTERM half of graceful shutdown.
 func (m *Manager) Close() {
 	m.admitMu.Lock()
 	closed := m.shutdown.Swap(true)
@@ -696,7 +669,4 @@ func (m *Manager) Close() {
 		return
 	}
 	m.rounds.Wait()
-	if m.batchers != nil {
-		m.batchers.close()
-	}
 }

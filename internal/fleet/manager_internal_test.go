@@ -116,23 +116,25 @@ func TestManagerTTLEviction(t *testing.T) {
 	}
 }
 
-// blockingScorer parks the round that scores through it: it announces the
-// round on started, then holds it (and its running slot) until release
-// closes.
-type blockingScorer struct {
+// blockingPredictor parks the round that scores a window on it: it
+// announces the round on started, then holds it (and its running slot) until
+// release closes.
+type blockingPredictor struct {
+	classes int
 	started chan<- struct{}
 	release <-chan struct{}
 }
 
-func (b blockingScorer) scoreWindows(sensors []int, _ []*tensor.Tensor) []windowScore {
+func (b blockingPredictor) PredictBatch(x *tensor.Tensor) ([]int, *tensor.Tensor) {
 	b.started <- struct{}{}
 	<-b.release
-	return make([]windowScore, len(sensors))
+	return make([]int, x.Dim(0)), tensor.New(x.Dim(0), b.classes)
 }
 
-// holdSlot creates a session on m and starts a round on it whose scorer
-// blocks, returning once that round holds its running slot. release lets the
-// round finish; the test's cleanup releases it and waits for it to return.
+// holdSlot creates a session on m and starts a round on it whose window
+// scoring blocks, returning once that round holds its running slot. release
+// lets the round finish; the test's cleanup releases it and waits for it to
+// return.
 func holdSlot(t *testing.T, m *Manager) (s *Session, release func()) {
 	t.Helper()
 	s, err := m.Create("MHEALTH", 1, Opts{})
@@ -140,7 +142,16 @@ func holdSlot(t *testing.T, m *Manager) (s *Session, release func()) {
 		t.Fatal(err)
 	}
 	started, unblock, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
-	s.score = blockingScorer{started: started, release: unblock}
+	// Serve this session alone from a model over the same System whose every
+	// net blocks; the manager's other sessions keep the real nets.
+	base := s.model
+	s.model = newModel(base.Name, base.System, func() []predictor {
+		nets := make([]predictor, base.Sensors())
+		for i := range nets {
+			nets[i] = blockingPredictor{classes: base.Classes(), started: started, release: unblock}
+		}
+		return nets
+	})
 	window := []SensorInput{{Sensor: 0, Window: tensor.New(synth.Channels, s.Model().Window)}}
 	go func() {
 		defer close(done)

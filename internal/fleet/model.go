@@ -61,9 +61,9 @@ type Model struct {
 	nets sync.Pool // of []predictor — one clone per sensor, per borrow
 }
 
-// predictor is the inference surface the scorers use: every window is
-// scored through the batched kernel, a lone window as a batch of one.
-// *dnn.Network and *dnn.QuantizedNetwork both implement it.
+// predictor is the inference surface window scoring uses: every window is
+// scored through the batched kernel as a batch of one. *dnn.Network and
+// *dnn.QuantizedNetwork both implement it.
 type predictor interface {
 	PredictBatch(x *tensor.Tensor) (classes []int, probs *tensor.Tensor)
 }
@@ -136,6 +136,40 @@ func (m *Model) NewMatrix() *ensemble.Matrix { return m.System.Matrix.Clone() }
 func (m *Model) acquireNets() []predictor { return m.nets.Get().([]predictor) }
 
 func (m *Model) releaseNets(nets []predictor) { m.nets.Put(nets) }
+
+// windowScore is the outcome of scoring one raw window.
+type windowScore struct {
+	class int
+	conf  float64
+}
+
+// scoreWindows scores the raw windows of one round on the caller's
+// goroutine: it borrows one pooled net set and runs each window through its
+// sensor's net as a one-window PredictBatch. scores[i] belongs to inputs[i]
+// (vote inputs leave their entry zero); a round without windows borrows
+// nothing and returns nil. Every input must already be validated against
+// the model geometry.
+func (m *Model) scoreWindows(inputs []SensorInput) []windowScore {
+	var scores []windowScore
+	var nets []predictor
+	for i, in := range inputs {
+		if in.Window == nil {
+			continue
+		}
+		if nets == nil {
+			nets = m.acquireNets()
+			scores = make([]windowScore, len(inputs))
+		}
+		// The probabilities alias the net's scratch: read them before the
+		// next window runs on the same net.
+		classes, probs := nets[in.Sensor].PredictBatch(in.Window.Reshape(1, synth.Channels, m.Window))
+		scores[i] = windowScore{class: classes[0], conf: probs.Row(0).Variance()}
+	}
+	if nets != nil {
+		m.releaseNets(nets)
+	}
+	return scores
+}
 
 // BuildFunc produces a served model for a profile name. The default
 // builder trains (or loads from cache) via experiments.BuildSystem.

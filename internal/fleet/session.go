@@ -100,12 +100,6 @@ type Session struct {
 	model *Model
 	opts  Opts
 
-	// score resolves raw windows to votes. Standalone sessions use the
-	// direct (unbatched) scorer; the Manager swaps in its micro-batching
-	// scorer at creation. Both are bit-identical per window, so the choice
-	// is invisible in results.
-	score scorer
-
 	mu   sync.Mutex
 	dev  *host.Device
 	slot int
@@ -142,7 +136,7 @@ func NewSession(id string, user int64, m *Model, o Opts) (*Session, error) {
 		Quorum:     o.Quorum,
 	})
 	dev.Attach(tel)
-	return &Session{id: id, user: user, model: m, opts: o, score: directScorer{m}, dev: dev, tel: tel}, nil
+	return &Session{id: id, user: user, model: m, opts: o, dev: dev, tel: tel}, nil
 }
 
 // newSessionFromState rebuilds a session from a decoded snapshot so a
@@ -274,32 +268,19 @@ func (s *Session) classify(inputs []SensorInput, snap *SessionState) (ClassifyRe
 	}
 	// Score raw windows before taking the session lock: scoring is a pure
 	// function of (model, sensor, window), so it neither reads nor writes
-	// session state, and resolving it first means the lock is never held
-	// across a (possibly micro-batched) inference wait.
-	var sensors []int
-	var windows []*tensor.Tensor
-	for _, in := range inputs {
-		if in.Window != nil {
-			sensors = append(sensors, in.Sensor)
-			windows = append(windows, in.Window)
-		}
-	}
-	var scores []windowScore
-	if len(windows) > 0 {
-		scores = s.score.scoreWindows(sensors, windows)
-	}
+	// session state, and resolving it first keeps forward passes out of the
+	// lock hold.
+	scores := s.model.scoreWindows(inputs)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
 	slot := s.slot
 	votes := make([]VoteInfo, 0, len(inputs))
-	scored := 0
-	for _, in := range inputs {
+	for i, in := range inputs {
 		class, conf := in.Class, in.Confidence
 		if in.Window != nil {
-			class, conf = scores[scored].class, scores[scored].conf
-			scored++
+			class, conf = scores[i].class, scores[i].conf
 		}
 		s.dev.Observe(&sensor.Result{Sensor: in.Sensor, Class: class, Confidence: conf, Slot: slot})
 		votes = append(votes, VoteInfo{Sensor: in.Sensor, Class: class, Confidence: conf})

@@ -226,6 +226,36 @@ func TestSessionWindowDeterminism(t *testing.T) {
 	}
 }
 
+// prop: a round that mixes windows and precomputed votes scores each window
+// on its own sensor's net, exactly as a one-window round would, and echoes
+// each vote unchanged, in request order.
+func TestSessionMixedRoundScoresEachWindow(t *testing.T) {
+	m := tinyModel()
+	gen := synth.NewGenerator(m.System.Profile, synth.NewUser(1), m.Window, 5)
+	w0, w2 := gen.WindowFor(1, synth.Location(0)), gen.WindowFor(2, synth.Location(2))
+	classify := func(inputs []SensorInput) []VoteInfo {
+		s, err := NewSession("m", 1, m, Opts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Classify(inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Votes
+	}
+	vote := SensorInput{Sensor: 1, Class: 3, Confidence: 0.05}
+	want := []VoteInfo{
+		classify([]SensorInput{{Sensor: 2, Window: w2}})[0],
+		{Sensor: 1, Class: 3, Confidence: 0.05},
+		classify([]SensorInput{{Sensor: 0, Window: w0}})[0],
+	}
+	got := classify([]SensorInput{{Sensor: 2, Window: w2}, vote, {Sensor: 0, Window: w0}})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("mixed round votes %+v, want %+v", got, want)
+	}
+}
+
 // prop: Freeze pins the confidence matrix (the static ablation); the
 // default session adapts it, and neither touches the model's shared matrix.
 func TestSessionFreezeAndIsolation(t *testing.T) {

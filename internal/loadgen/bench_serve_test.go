@@ -12,51 +12,37 @@ import (
 )
 
 // BenchmarkServeWindows measures end-to-end serving throughput of
-// window-mode traffic (raw IMU windows classified server-side) with the
-// micro-batcher off and on. One op is a full loadgen run: users × rounds
+// window-mode traffic (raw IMU windows classified server-side, each round
+// scoring its own windows). One op is a full loadgen run: users × rounds
 // window classifications through the HTTP API. The interesting metric is
-// windows/s; the batched variant's advantage grows with concurrency since
-// batches only form when load overlaps.
+// windows/s.
 func BenchmarkServeWindows(b *testing.B) {
 	const users, rounds = 8, 6
-	for _, mode := range []struct {
-		name      string
-		batchSize int
-		hold      time.Duration
-	}{
-		{"direct", 1, 0},
-		{"batched", 16, 0},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			mgr := fleet.NewManager(fleet.Config{
-				Registry:   fleettest.NewRegistry(),
-				QueueDepth: 256,
-				Workers:    8,
-				BatchSize:  mode.batchSize,
-				BatchHold:  mode.hold,
-			})
-			ts := httptest.NewServer(serve.New(serve.Config{Manager: mgr, RequestTimeout: 30 * time.Second}))
-			defer func() {
-				ts.Close()
-				mgr.Close()
-			}()
-			cfg := loadgen.Config{
-				BaseURL:           ts.URL,
-				Profile:           "MHEALTH",
-				Users:             users,
-				Requests:          rounds,
-				Seed:              5,
-				Mode:              loadgen.ModeWindows,
-				SensorsPerRequest: 1,
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := loadgen.Run(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-			windows := float64(b.N * users * rounds)
-			b.ReportMetric(windows/b.Elapsed().Seconds(), "windows/s")
-		})
+	mgr := fleet.NewManager(fleet.Config{
+		Registry:   fleettest.NewRegistry(),
+		QueueDepth: 256,
+		Workers:    8,
+	})
+	ts := httptest.NewServer(serve.New(serve.Config{Manager: mgr, RequestTimeout: 30 * time.Second}))
+	defer func() {
+		ts.Close()
+		mgr.Close()
+	}()
+	cfg := loadgen.Config{
+		BaseURL:           ts.URL,
+		Profile:           "MHEALTH",
+		Users:             users,
+		Requests:          rounds,
+		Seed:              5,
+		Mode:              loadgen.ModeWindows,
+		SensorsPerRequest: 1,
 	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := loadgen.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	windows := float64(b.N * users * rounds)
+	b.ReportMetric(windows/b.Elapsed().Seconds(), "windows/s")
 }

@@ -119,6 +119,11 @@ type Node struct {
 	cap  *energy.Capacitor
 	proc *nvp.Processor
 
+	// netMACs and layerMACs are the net's inference MACs, in total and per
+	// layer, counted once in New: no net changes after its node is built.
+	netMACs   float64
+	layerMACs []float64
+
 	// pending inference state
 	window    *tensor.Tensor
 	windowers int // slot the window belongs to
@@ -145,11 +150,20 @@ func New(cfg Config) *Node {
 	if cfg.Harvest == nil {
 		panic("sensor: Config.Harvest is required")
 	}
-	return &Node{
-		cfg:  cfg,
-		cap:  energy.NewCapacitor(cfg.CapacityJ, cfg.LeakW, cfg.MinOperatingJ, cfg.InitialJ),
-		proc: nvp.NewProcessor(cfg.Proc),
+	n := &Node{
+		cfg:       cfg,
+		cap:       energy.NewCapacitor(cfg.CapacityJ, cfg.LeakW, cfg.MinOperatingJ, cfg.InitialJ),
+		proc:      nvp.NewProcessor(cfg.Proc),
+		layerMACs: make([]float64, len(cfg.Net.Layers)),
 	}
+	// Conv MACs scale with the input width of the layer's last forward;
+	// every net builder and dnn.Load run a warm-up forward at the served
+	// window width, and inference never changes it.
+	for i, l := range cfg.Net.Layers {
+		n.layerMACs[i] = float64(l.MACs())
+		n.netMACs += n.layerMACs[i]
+	}
+	return n
 }
 
 // Attach routes the node's inference lifecycle and power-emergency
@@ -168,7 +182,7 @@ func (n *Node) Busy() bool { return n.proc.Busy() }
 // InferenceMACs returns the task size of one inference on this node,
 // including the fixed overhead.
 func (n *Node) InferenceMACs() float64 {
-	return float64(n.cfg.Net.MACs()) + n.cfg.OverheadMACs
+	return n.netMACs + n.cfg.OverheadMACs
 }
 
 // InferenceEnergy returns the energy one inference needs on this node.
@@ -247,11 +261,7 @@ func (n *Node) StartInference(window *tensor.Tensor, slot, trueClass int) {
 	}
 	n.obs.NoteInferenceStarted()
 	if n.cfg.Proc.Granularity == nvp.GranularityLayer {
-		layers := make([]float64, 0, len(n.cfg.Net.Layers))
-		for _, l := range n.cfg.Net.Layers {
-			layers = append(layers, float64(l.MACs()))
-		}
-		n.proc.Start(nvp.NewLayerTask(layers, n.cfg.OverheadMACs))
+		n.proc.Start(nvp.NewLayerTask(n.layerMACs, n.cfg.OverheadMACs))
 	} else {
 		n.proc.Start(nvp.NewTask(n.InferenceMACs()))
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -11,7 +12,7 @@ import (
 
 // lineageFixture builds a mid-round stream state: sensor 0 mid-window with a
 // live ring, sensor 1 already in the round order, sensor 2 untouched.
-func lineageFixture(t *testing.T) *streamState {
+func lineageFixture(t testing.TB) *streamState {
 	t.Helper()
 	asm := NewStreamAssembler(3, 8)
 	mk := func(sensor, seq, n int, end bool) comm.IMUFrame {
@@ -121,4 +122,28 @@ func TestStreamAttachmentRejectsDamage(t *testing.T) {
 			t.Errorf("%s: decode accepted damaged attachment", name)
 		}
 	}
+}
+
+// FuzzDecodeStreamAttachment: the attachment decoder never panics, and any
+// attachment it accepts re-encodes to a form that decodes again and encodes
+// to the same bytes (the raw input may differ through non-minimal varints).
+func FuzzDecodeStreamAttachment(f *testing.F) {
+	seed := encodeStreamAttachment(lineageFixture(f))
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
+	f.Add([]byte("OSA1"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		st, err := decodeStreamAttachment(b, "s-1", 3, 8)
+		if err != nil {
+			return
+		}
+		out := encodeStreamAttachment(st)
+		st2, err := decodeStreamAttachment(out, "s-1", 3, 8)
+		if err != nil {
+			t.Fatalf("re-decode of an accepted attachment failed: %v", err)
+		}
+		if again := encodeStreamAttachment(st2); !bytes.Equal(again, out) {
+			t.Fatal("re-encode cycle changed the attachment")
+		}
+	})
 }

@@ -226,8 +226,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("requests_shed_total", "Classify requests shed with every slot busy and the waiting line full (or by forced shed).", snap.RequestsShed)
 	counter("requests_done_total", "Classify requests completed.", snap.RequestsDone)
 	gauge("queue_depth", "Classify callers waiting for a running slot.", int64(snap.QueueDepth))
-	counter("windows_batched_total", "Windows scored through the micro-batcher.", snap.WindowsBatched)
-	counter("batch_flushes_total", "Micro-batch inference flushes.", snap.BatchFlushes)
+	counter("windows_scored_total", "Raw IMU windows scored server-side (one forward pass each).", snap.WindowsBatched)
 	counter("sessions_restored_total", "Sessions rebuilt from the shared state store (migrations absorbed).", snap.SessionsRestored)
 	m := s.cfg.Metrics
 	counter("parse_nanos_total", "Request-decode time (JSON or stream frames) in nanoseconds.", m.ParseNanos.Load())

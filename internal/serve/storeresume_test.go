@@ -1,7 +1,10 @@
 package serve_test
 
 import (
+	"encoding/binary"
 	"net"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -147,5 +150,37 @@ func TestStreamStoreResumeTokenMismatch(t *testing.T) {
 	}
 	if b.metrics.StreamStoreResumes.Load() != 0 {
 		t.Fatal("forged token must not count as a store resume")
+	}
+}
+
+// TestStreamHelloCorruptStateFile: a session whose .session file is shorter
+// than its 8-byte version header, or holds a valid header followed by
+// garbage, fails Manager.Get with an error (no panic), and a stream hello
+// for it gets a session error frame. "live" holds a session in memory at
+// slot 0 whose file was overwritten by a newer, corrupt version.
+func TestStreamHelloCorruptStateFile(t *testing.T) {
+	dir := t.TempDir()
+	store, err := fleet.NewFileStateStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := replicaStack(t, fleettest.NewRegistry(), store)
+	if _, err := s.mgr.CreateWithID("live", "MHEALTH", 1, fleet.Opts{}); err != nil {
+		t.Fatal(err)
+	}
+	garbage := append(binary.LittleEndian.AppendUint64(nil, 1), "not a session snapshot"...)
+	for id, data := range map[string][]byte{
+		"short":   {1, 0, 0},
+		"garbage": garbage,
+		"live":    garbage,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, id+".session"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.mgr.Get(id); err == nil {
+			t.Errorf("%s: Get restored a corrupt state file", id)
+		}
+		_, br := s.dial(t, id)
+		readError(t, br, comm.StreamErrSession)
 	}
 }

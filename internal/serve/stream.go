@@ -26,7 +26,7 @@ import (
 // the sliding-window state — the client sends each sample once and the
 // overlap between consecutive windows is reconstructed host-side from a
 // per-(session, sensor) ring buffer. Completed rounds go through the same
-// fleet.Manager admission (and micro-batcher) as HTTP traffic, and results
+// fleet.Manager admission and scoring as HTTP traffic, and results
 // are pushed back as binary frames on the same connection.
 //
 // Determinism: a connection is serviced by one goroutine, a session's rounds

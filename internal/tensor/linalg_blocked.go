@@ -9,8 +9,8 @@ import "fmt"
 // interleaves independent accumulator chains to expose instruction-level
 // parallelism and reuse loaded operands. That bit-exactness is what lets the
 // serving stack swap batched kernels in under the fleet determinism contract
-// (a micro-batched classification must equal its serial replay exactly, not
-// within a tolerance).
+// (a served classification must equal its serial replay exactly, not within
+// a tolerance).
 
 // MatMulTBatchInto computes dst[i] = A[i] × Bᵀ for every slice of a batched
 // left operand: a is (batch, m, k), b a shared (n, k) operand read as its
