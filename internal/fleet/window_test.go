@@ -2,9 +2,11 @@ package fleet_test
 
 import (
 	"context"
+	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"origin/internal/fleet"
 	"origin/internal/fleet/fleettest"
@@ -99,6 +101,60 @@ func TestConcurrentWindowRoundsMatchSerialReplay(t *testing.T) {
 	if snap.WindowsBatched != windows || snap.BatchFlushes != windows {
 		t.Fatalf("windows scored %d, forward passes %d; want %d of each",
 			snap.WindowsBatched, snap.BatchFlushes, windows)
+	}
+}
+
+// prop: with the legacy batching knobs set to values that once forced
+// coalescing, concurrent window-mode loadgen runs over HTTP still produce
+// exactly the sequences of a serial replay, and every window is its own
+// forward pass: BatchSize and BatchHold switch nothing. Run under -race by
+// make verify-serve.
+func TestMicroBatchedMatchesSerialReplay(t *testing.T) {
+	mgr := fleet.NewManager(fleet.Config{
+		Registry:   fleettest.NewRegistry(),
+		QueueDepth: 64,
+		Workers:    8,
+		BatchSize:  4,
+		BatchHold:  2 * time.Millisecond,
+	})
+	ts := httptest.NewServer(serve.New(serve.Config{Manager: mgr, RequestTimeout: 30 * time.Second}))
+	defer mgr.Close()
+	defer ts.Close()
+	cfg := replayConfig(ts.URL, loadgen.ModeWindows, 6, 10)
+	rep, err := loadgen.Run(cfg)
+	if err != nil {
+		t.Fatalf("loadgen: %v", err)
+	}
+	requireReplay(t, &cfg, rep.Sessions)
+	snap := mgr.Snapshot()
+	windows := int64(cfg.Users * cfg.Requests * cfg.SensorsPerRequest)
+	if snap.WindowsBatched != windows || snap.BatchFlushes != windows {
+		t.Fatalf("windows scored %d, forward passes %d; want %d of each",
+			snap.WindowsBatched, snap.BatchFlushes, windows)
+	}
+}
+
+// prop: managers configured with and without the legacy batching knobs,
+// given identical concurrent window streams, return identical classes.
+func TestBatchedAndUnbatchedManagersAgree(t *testing.T) {
+	cfg := replayConfig("", loadgen.ModeWindows, 5, 8)
+	run := func(batchSize int, hold time.Duration) [][]int {
+		mgr := fleet.NewManager(fleet.Config{
+			Registry:   fleettest.NewRegistry(),
+			QueueDepth: 64,
+			Workers:    8,
+			BatchSize:  batchSize,
+			BatchHold:  hold,
+		})
+		defer mgr.Close()
+		return classifyConcurrently(t, mgr, &cfg, openSessions(t, mgr, &cfg))
+	}
+	batched := run(6, time.Millisecond)
+	direct := run(1, 0)
+	for i := range batched {
+		if !reflect.DeepEqual(batched[i], direct[i]) {
+			t.Errorf("user %d: batch-size 6 %v vs batch-size 1 %v", i, batched[i], direct[i])
+		}
 	}
 }
 
